@@ -268,6 +268,8 @@ def _suite_chain(cfg: Config, n_logical: int) -> Report:
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     suite = args.suite
+    if args.trials is not None and args.trials < 1:
+        raise GselcError(f"--trials must be at least 1, got {args.trials}")
     if suite == "theorem1":
         report = _suite_theorem1(cfg, args.trials if args.trials is not None else 200)
     elif suite == "vertex-lc":
@@ -357,11 +359,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GselcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GselcError, OSError, ValueError, MemoryError) as exc:
+        # library and resource failures are one-line usage errors, never tracebacks
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -7,13 +7,14 @@ five CZs. The direct construction entangles encoded blocks with 25 inter-block
 CZs each; the shortcut seeds one physical CZ between cores before encoding and
 lets the Hadamards inside the encoders do the rest.
 
-Every build appends to a CircuitLog so gate-count claims are audited against
-the exact states the oracle produces.
+Every build first records its gates in a CircuitLog, then runs the whole log
+once on the oracle, so gate-count claims are audited against the exact states
+those same gates produce.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import graph as gr
 from .errors import OddChainError, VertexRangeError
@@ -25,7 +26,7 @@ from .statevector import (
     GateKind,
     StateVector,
     amp_distance,
-    apply_gate,
+    apply_gates,
     graph_state,
     plus_state,
 )
@@ -119,10 +120,33 @@ class CircuitLog:
         )
 
     def replay(self, sv: StateVector, entries=None) -> StateVector:
-        """Apply the logged gates (all of them, or a given subset) to a state."""
-        for entry in self._entries if entries is None else entries:
-            sv = apply_gate(sv, entry.gate)
-        return sv
+        """Run the logged gates (all of them, or a given subset) on a state in one pass."""
+        return apply_gates(sv, [e.gate for e in (self._entries if entries is None else entries)])
+
+
+def _record_ghz(log: CircuitLog, reg: LogicalRegister, first_h_positional: bool) -> None:
+    log.append(Gate.h(reg.core), positional=first_h_positional)
+    for anc in reg.ancillae:
+        log.append(Gate.cz(reg.core, anc), tag="ghz")
+    log.append(Gate.h(reg.core))
+
+
+def _record_pentagon(log: CircuitLog, reg: LogicalRegister) -> None:
+    q = reg.qubits
+    for i in range(BLOCK_SIZE):
+        log.append(Gate.cz(q[i], q[(i + 1) % BLOCK_SIZE]), tag="pentagon")
+
+
+def _record_logical_cz(log: CircuitLog, reg_a: LogicalRegister, reg_b: LogicalRegister) -> None:
+    """Logical CZ between two encoded blocks: all 25 inter-block physical CZs.
+
+    This is the unique pattern consistent with conjugating the single
+    core-core CZ by both block encoders, so the direct and shortcut builds
+    target the same operator.
+    """
+    for qa in reg_a.qubits:
+        for qb in reg_b.qubits:
+            log.append(Gate.cz(qa, qb), tag="logical_cz")
 
 
 def ghz_encode(
@@ -137,21 +161,18 @@ def ghz_encode(
     state. ``first_h_positional`` marks the leading Hadamard as an
     identity-position gate for the count bookkeeping.
     """
-    sv = _logged(sv, log, Gate.h(reg.core), positional=first_h_positional)
-    for anc in reg.ancillae:
-        sv = _logged(sv, log, Gate.cz(reg.core, anc), tag="ghz")
-    sv = _logged(sv, log, Gate.h(reg.core))
-    return sv, log
+    start = len(log.entries)
+    _record_ghz(log, reg, first_h_positional)
+    return log.replay(sv, log.entries[start:]), log
 
 
 def pentagon(
     sv: StateVector, reg: LogicalRegister, log: CircuitLog
 ) -> tuple[StateVector, CircuitLog]:
     """The five-CZ cycle over the block, the quantum half of the encoding."""
-    q = reg.qubits
-    for i in range(BLOCK_SIZE):
-        sv = _logged(sv, log, Gate.cz(q[i], q[(i + 1) % BLOCK_SIZE]), tag="pentagon")
-    return sv, log
+    start = len(log.entries)
+    _record_pentagon(log, reg)
+    return log.replay(sv, log.entries[start:]), log
 
 
 def encode_logical(
@@ -161,34 +182,10 @@ def encode_logical(
     first_h_positional: bool = False,
 ) -> tuple[StateVector, CircuitLog]:
     """Full block encoder: GHZ fan-out then pentagon (9 CZ, 2 H per block)."""
-    sv, log = ghz_encode(sv, reg, log, first_h_positional)
-    return pentagon(sv, reg, log)
-
-
-def _logged(
-    sv: StateVector,
-    log: CircuitLog,
-    gate: Gate,
-    tag: str | None = None,
-    positional: bool = False,
-) -> StateVector:
-    log.append(gate, tag, positional)
-    return apply_gate(sv, gate)
-
-
-def _logical_cz(
-    sv: StateVector, reg_a: LogicalRegister, reg_b: LogicalRegister, log: CircuitLog
-) -> StateVector:
-    """Logical CZ between two encoded blocks: all 25 inter-block physical CZs.
-
-    This is the unique pattern consistent with conjugating the single
-    core-core CZ by both block encoders, so the direct and shortcut builds
-    target the same operator.
-    """
-    for qa in reg_a.qubits:
-        for qb in reg_b.qubits:
-            sv = _logged(sv, log, Gate.cz(qa, qb), tag="logical_cz")
-    return sv
+    start = len(log.entries)
+    _record_ghz(log, reg, first_h_positional)
+    _record_pentagon(log, reg)
+    return log.replay(sv, log.entries[start:]), log
 
 
 def _check_chain_length(n_logical: int) -> None:
@@ -207,13 +204,12 @@ def _build_direct(
     pentagons and the 25-CZ logical gates are applied (and counted).
     """
     regs = [LogicalRegister.block(j) for j in range(n_logical)]
-    sv = plus_state(BLOCK_SIZE * n_logical, max_qubits)
     log = CircuitLog()
     for reg in regs:
-        sv, log = pentagon(sv, reg, log)
+        _record_pentagon(log, reg)
     for j in range(n_logical - 1):
-        sv = _logical_cz(sv, regs[j], regs[j + 1], log)
-    return sv, log
+        _record_logical_cz(log, regs[j], regs[j + 1])
+    return log.replay(plus_state(BLOCK_SIZE * n_logical, max_qubits)), log
 
 
 def _build_elc(n_logical: int, max_qubits: int) -> tuple[StateVector, CircuitLog]:
@@ -225,21 +221,20 @@ def _build_elc(n_logical: int, max_qubits: int) -> tuple[StateVector, CircuitLog
     identity-position; longer chains permute the core graph with it.
     """
     regs = [LogicalRegister.block(j) for j in range(n_logical)]
-    sv = plus_state(BLOCK_SIZE * n_logical, max_qubits)
     log = CircuitLog()
     for j in range(n_logical - 1):
-        sv = _logged(sv, log, Gate.cz(regs[j].core, regs[j + 1].core), tag="core")
+        log.append(Gate.cz(regs[j].core, regs[j + 1].core), tag="core")
     first_pair_invariant = n_logical == 2
     for reg in regs:
-        sv = _logged(sv, log, Gate.h(reg.core), positional=first_pair_invariant)
+        log.append(Gate.h(reg.core), positional=first_pair_invariant)
     for reg in regs:
         for anc in reg.ancillae:
-            sv = _logged(sv, log, Gate.cz(reg.core, anc), tag="ghz")
+            log.append(Gate.cz(reg.core, anc), tag="ghz")
     for reg in regs:
-        sv = _logged(sv, log, Gate.h(reg.core))
+        log.append(Gate.h(reg.core))
     for reg in regs:
-        sv, log = pentagon(sv, reg, log)
-    return sv, log
+        _record_pentagon(log, reg)
+    return log.replay(plus_state(BLOCK_SIZE * n_logical, max_qubits)), log
 
 
 def build_cs2_direct(max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[StateVector, CircuitLog]:
@@ -298,7 +293,7 @@ def verify_chain_elc_steps(
     steps = []
     worst = 0.0
     for k in range(0, n_logical - 1, 2):
-        sv = apply_gate(apply_gate(sv, Gate.h(k)), Gate.h(k + 1))
+        sv = apply_gates(sv, [Gate.h(k), Gate.h(k + 1)])
         g = gr.edge_local_complement(g, k, k + 1)
         diff = amp_distance(sv, graph_state(g, max_qubits))
         worst = max(worst, diff)

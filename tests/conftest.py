@@ -1,4 +1,4 @@
-"""Shared test helpers: graph enumeration and product-state construction."""
+"""Shared test helpers: graph enumeration, product states and reference kernels."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from functools import reduce
 import numpy as np
 
 from gselc import graph as gr
+from gselc.statevector import _MATRICES, GateKind
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -33,3 +34,38 @@ def random_graph(rng: np.random.Generator, n: int) -> gr.Graph:
 def kron_state(*factors) -> np.ndarray:
     """Tensor product with factors[i] on qubit i (bit i of the index)."""
     return reduce(np.kron, reversed([np.asarray(f, dtype=complex) for f in factors]))
+
+
+def reference_cz(amps: np.ndarray, n: int, a: int, b: int) -> None:
+    """Index-mask CZ: negate, in place, every amplitude whose index has bits a and b set."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    amps[((idx >> a) & (idx >> b) & 1).astype(bool)] *= -1
+
+
+def reference_single_qubit(amps: np.ndarray, n: int, q: int, matrix: np.ndarray) -> None:
+    """Index-pair single-qubit gate, in place, with the same per-amplitude arithmetic."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    zero = idx[((idx >> q) & 1) == 0]
+    one = zero | (1 << q)
+    a0, a1 = amps[zero], amps[one]
+    amps[zero] = matrix[0, 0] * a0 + matrix[0, 1] * a1
+    amps[one] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+
+
+def reference_run(amps: np.ndarray, n: int, gates) -> np.ndarray:
+    """A gate list on a copy of ``amps``, one reference kernel call per gate."""
+    out = amps.copy()
+    for gate in gates:
+        if gate.kind is GateKind.CZ:
+            reference_cz(out, n, *gate.targets)
+        else:
+            reference_single_qubit(out, n, gate.targets[0], _MATRICES[gate.kind])
+    return out
+
+
+def reference_graph_state(g: gr.Graph) -> np.ndarray:
+    """|G> by one index-mask CZ per edge on |+>^n."""
+    amps = np.full(1 << g.n, 2.0 ** (-g.n / 2), dtype=complex)
+    for a, b in g.edges():
+        reference_cz(amps, g.n, a, b)
+    return amps

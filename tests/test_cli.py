@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +202,47 @@ def test_bad_tolerance(capsys):
 def test_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "apply", str(tmp_path / "nope.json"), "lc:0")
     assert code == 2 and err.startswith("error:")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", "theorem1", "--seed", "0"], "verify_theorem1_seed0.json"),
+        (["verify", "stabilizers", "--seed", "0"], "verify_stabilizers_seed0.json"),
+        (["verify", "cs2"], "verify_cs2.json"),
+        (["verify", "chain:4"], "verify_chain4.json"),
+        (["encode", "--n-logical", "4"], "encode_n_logical4.json"),
+    ],
+)
+def test_stdout_matches_golden(capsys, argv, name):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("suite, trials", [("theorem1", "-5"), ("stabilizers", "0")])
+def test_verify_rejects_trials_below_one(capsys, suite, trials):
+    code, out, err = run_cli(capsys, "verify", suite, "--trials", trials)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--trials" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (ValueError("bad value"), "bad value"),
+        (MemoryError("Unable to allocate"), "Unable to allocate"),
+        (MemoryError(), "MemoryError"),
+    ],
+)
+def test_library_errors_exit_2_without_traceback(capsys, monkeypatch, exc, message):
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "_suite_cs2", fail)
+    code, out, err = run_cli(capsys, "verify", "cs2")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
