@@ -3,7 +3,6 @@
 Layers:
 
 - :mod:`gselc.graph`: simple graphs as GF(2) bit rows with LC/ELC.
-- :mod:`gselc.quadform`: Boolean phase polynomials and their update rules.
 - :mod:`gselc.statevector`: the exact dense-amplitude oracle.
 - :mod:`gselc.encoding`: five-qubit-code logical cluster-state builds.
 - :mod:`gselc.cli`: the ``gselc`` command.
@@ -27,7 +26,6 @@ from .graph import (
     to_json,
     toggle_edge,
 )
-from .quadform import QuadraticForm, apply_lc_update, elc_final_form, evaluate, from_graph, to_graph
 from .report import Report
 from .statevector import (
     DEFAULT_MAX_QUBITS,
@@ -52,9 +50,6 @@ from .encoding import (
     build_cs2_direct,
     build_cs2_elc,
     build_logical_cluster,
-    encode_logical,
-    ghz_encode,
-    pentagon,
     verify_chain_elc_steps,
     verify_cs2_equivalence,
 )

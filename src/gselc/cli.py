@@ -149,24 +149,16 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _random_graph(rng: np.random.Generator, n: int) -> gr.Graph:
-    g = gr.new_empty(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.integers(0, 2):
-                g = gr.toggle_edge(g, i, j)
-    return g
-
-
-def _suite_theorem1(cfg: Config, trials: int) -> Report:
+def _suite_theorem1(cfg: Config, trials: int | None) -> Report:
+    trials = 200 if trials is None else trials
     rng = np.random.default_rng(cfg.seed)
     failures = []
     worst = 0.0
     for t in range(trials):
         n1 = int(rng.integers(1, 7))
         n2 = int(rng.integers(1, 7))
-        g1 = _random_graph(rng, n1)
-        g2 = _random_graph(rng, n2)
+        g1 = gr.random_graph(rng, n1)
+        g2 = gr.random_graph(rng, n2)
         c1 = int(rng.integers(0, n1))
         c2 = int(rng.integers(0, n2))
         rep = sv.verify_theorem1(g1, c1, g2, c2, cfg.tol_equal, cfg.max_qubits)
@@ -191,17 +183,11 @@ def _suite_theorem1(cfg: Config, trials: int) -> Report:
     )
 
 
-def _all_graphs(n: int):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for bits in range(1 << len(pairs)):
-        yield gr.from_edges(n, (p for k, p in enumerate(pairs) if (bits >> k) & 1))
-
-
-def _suite_vertex_lc(cfg: Config) -> Report:
+def _suite_vertex_lc(cfg: Config, _trials: int | None) -> Report:
     checked = 0
     failures = []
     for n in range(0, 6):
-        for g in _all_graphs(n):
+        for g in gr.all_graphs(n):
             for a in range(n):
                 rep = sv.verify_vertex_lc(g, a, cfg.tol_equal, cfg.max_qubits)
                 checked += 1
@@ -218,12 +204,13 @@ def _suite_vertex_lc(cfg: Config) -> Report:
     )
 
 
-def _suite_stabilizers(cfg: Config, trials: int) -> Report:
+def _suite_stabilizers(cfg: Config, trials: int | None) -> Report:
+    trials = 50 if trials is None else trials
     rng = np.random.default_rng(cfg.seed)
     failures = []
     for t in range(trials):
         n = int(rng.integers(1, 9))
-        g = _random_graph(rng, n)
+        g = gr.random_graph(rng, n)
         rep = sv.verify_stabilizers(g, cfg.tol_equal, cfg.max_qubits)
         if not rep.passed:
             failures.append({"trial": t, "report": rep.details})
@@ -239,7 +226,7 @@ def _suite_stabilizers(cfg: Config, trials: int) -> Report:
     )
 
 
-def _suite_cs2(cfg: Config) -> Report:
+def _suite_cs2(cfg: Config, _trials: int | None) -> Report:
     rep = encoding.verify_cs2_equivalence(cfg.tol_equal, cfg.max_qubits)
     counts_ok = (
         rep.details["direct"]["cz_count"] == 35
@@ -265,29 +252,34 @@ def _suite_chain(cfg: Config, n_logical: int) -> Report:
     )
 
 
+# Each suite takes the config and one parameter: N for chain:N, otherwise
+# --trials (None when not given; the randomized suites pick their default).
+SUITES = {
+    "theorem1": _suite_theorem1,
+    "vertex-lc": _suite_vertex_lc,
+    "stabilizers": _suite_stabilizers,
+    "cs2": _suite_cs2,
+    "chain": _suite_chain,
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     suite = args.suite
     if args.trials is not None and args.trials < 1:
         raise GselcError(f"--trials must be at least 1, got {args.trials}")
-    if suite == "theorem1":
-        report = _suite_theorem1(cfg, args.trials if args.trials is not None else 200)
-    elif suite == "vertex-lc":
-        report = _suite_vertex_lc(cfg)
-    elif suite == "stabilizers":
-        report = _suite_stabilizers(cfg, args.trials if args.trials is not None else 50)
-    elif suite == "cs2":
-        report = _suite_cs2(cfg)
-    elif suite.startswith("chain:"):
-        try:
-            n_logical = int(suite.partition(":")[2])
-        except ValueError as exc:
-            raise GselcError(f"bad chain suite {suite!r}; expected chain:N") from exc
-        report = _suite_chain(cfg, n_logical)
-    else:
+    name, sep, arg = suite.partition(":")
+    if name not in SUITES or (name == "chain") != bool(sep):
         raise GselcError(
             f"unknown suite {suite!r}; expected theorem1, vertex-lc, stabilizers, cs2, chain:N"
         )
+    param = args.trials
+    if sep:
+        try:
+            param = int(arg)
+        except ValueError as exc:
+            raise GselcError(f"bad chain suite {suite!r}; expected chain:N") from exc
+    report = SUITES[name](cfg, param)
     if cfg.output_format == "text":
         status = "PASS" if report.passed else "FAIL"
         _emit(f"{status} {suite}\n", args.out)

@@ -7,9 +7,9 @@ five CZs. The direct construction entangles encoded blocks with 25 inter-block
 CZs each; the shortcut seeds one physical CZ between cores before encoding and
 lets the Hadamards inside the encoders do the rest.
 
-Every build first records its gates in a CircuitLog, then runs the whole log
-once on the oracle, so gate-count claims are audited against the exact states
-those same gates produce.
+Every build first records its gates in a CircuitLog, then runs the whole gate
+list once with ``apply_gates``, so gate-count claims are audited against the
+exact states those same gates produce.
 """
 
 from __future__ import annotations
@@ -32,12 +32,13 @@ from .statevector import (
 )
 
 __all__ = [
+    "IDENTITY_H",
     "LogicalRegister",
     "LoggedGate",
     "CircuitLog",
-    "ghz_encode",
-    "pentagon",
-    "encode_logical",
+    "record_ghz",
+    "record_pentagon",
+    "record_logical_cz",
     "build_cs2_direct",
     "build_cs2_elc",
     "verify_cs2_equivalence",
@@ -72,12 +73,14 @@ class LogicalRegister:
         return (self.core, *self.ancillae)
 
 
+# Tag of a Hadamard recorded at a position where the pair provably acts as identity
+IDENTITY_H = "identity_h"
+
+
 @dataclass(frozen=True)
 class LoggedGate:
     gate: Gate
     tag: str | None = None
-    # Hadamard recorded at a position where the pair provably acts as identity
-    positional: bool = False
 
 
 class CircuitLog:
@@ -90,8 +93,12 @@ class CircuitLog:
     def entries(self) -> tuple[LoggedGate, ...]:
         return tuple(self._entries)
 
-    def append(self, gate: Gate, tag: str | None = None, positional: bool = False) -> None:
-        self._entries.append(LoggedGate(gate, tag, positional))
+    @property
+    def gates(self) -> list[Gate]:
+        return [e.gate for e in self._entries]
+
+    def append(self, gate: Gate, tag: str | None = None) -> None:
+        self._entries.append(LoggedGate(gate, tag))
 
     def count_cz(self, tag: str | None = None) -> int:
         return sum(
@@ -110,34 +117,30 @@ class CircuitLog:
         return sum(
             1
             for e in self._entries
-            if e.gate.kind is GateKind.H and not e.positional
+            if e.gate.kind is GateKind.H and e.tag != IDENTITY_H
         )
 
-    @property
-    def positional_hadamard_count(self) -> int:
-        return sum(
-            1 for e in self._entries if e.gate.kind is GateKind.H and e.positional
-        )
 
-    def replay(self, sv: StateVector, entries=None) -> StateVector:
-        """Run the logged gates (all of them, or a given subset) on a state in one pass."""
-        return apply_gates(sv, [e.gate for e in (self._entries if entries is None else entries)])
+def record_ghz(log: CircuitLog, reg: LogicalRegister) -> None:
+    """Classical (repetition) encoding of a block: H, core-to-ancilla CZs, H.
 
-
-def _record_ghz(log: CircuitLog, reg: LogicalRegister, first_h_positional: bool) -> None:
-    log.append(Gate.h(reg.core), positional=first_h_positional)
+    On a core in |0> with ancillae in |+>^4 this produces the five-qubit GHZ
+    state.
+    """
+    log.append(Gate.h(reg.core))
     for anc in reg.ancillae:
         log.append(Gate.cz(reg.core, anc), tag="ghz")
     log.append(Gate.h(reg.core))
 
 
-def _record_pentagon(log: CircuitLog, reg: LogicalRegister) -> None:
+def record_pentagon(log: CircuitLog, reg: LogicalRegister) -> None:
+    """The five-CZ cycle over the block, the quantum half of the encoding."""
     q = reg.qubits
     for i in range(BLOCK_SIZE):
         log.append(Gate.cz(q[i], q[(i + 1) % BLOCK_SIZE]), tag="pentagon")
 
 
-def _record_logical_cz(log: CircuitLog, reg_a: LogicalRegister, reg_b: LogicalRegister) -> None:
+def record_logical_cz(log: CircuitLog, reg_a: LogicalRegister, reg_b: LogicalRegister) -> None:
     """Logical CZ between two encoded blocks: all 25 inter-block physical CZs.
 
     This is the unique pattern consistent with conjugating the single
@@ -147,45 +150,6 @@ def _record_logical_cz(log: CircuitLog, reg_a: LogicalRegister, reg_b: LogicalRe
     for qa in reg_a.qubits:
         for qb in reg_b.qubits:
             log.append(Gate.cz(qa, qb), tag="logical_cz")
-
-
-def ghz_encode(
-    sv: StateVector,
-    reg: LogicalRegister,
-    log: CircuitLog,
-    first_h_positional: bool = False,
-) -> tuple[StateVector, CircuitLog]:
-    """Classical (repetition) encoding of a block: H, core-to-ancilla CZs, H.
-
-    On a core in |0> with ancillae in |+>^4 this produces the five-qubit GHZ
-    state. ``first_h_positional`` marks the leading Hadamard as an
-    identity-position gate for the count bookkeeping.
-    """
-    start = len(log.entries)
-    _record_ghz(log, reg, first_h_positional)
-    return log.replay(sv, log.entries[start:]), log
-
-
-def pentagon(
-    sv: StateVector, reg: LogicalRegister, log: CircuitLog
-) -> tuple[StateVector, CircuitLog]:
-    """The five-CZ cycle over the block, the quantum half of the encoding."""
-    start = len(log.entries)
-    _record_pentagon(log, reg)
-    return log.replay(sv, log.entries[start:]), log
-
-
-def encode_logical(
-    sv: StateVector,
-    reg: LogicalRegister,
-    log: CircuitLog,
-    first_h_positional: bool = False,
-) -> tuple[StateVector, CircuitLog]:
-    """Full block encoder: GHZ fan-out then pentagon (9 CZ, 2 H per block)."""
-    start = len(log.entries)
-    _record_ghz(log, reg, first_h_positional)
-    _record_pentagon(log, reg)
-    return log.replay(sv, log.entries[start:]), log
 
 
 def _check_chain_length(n_logical: int) -> None:
@@ -206,10 +170,10 @@ def _build_direct(
     regs = [LogicalRegister.block(j) for j in range(n_logical)]
     log = CircuitLog()
     for reg in regs:
-        _record_pentagon(log, reg)
+        record_pentagon(log, reg)
     for j in range(n_logical - 1):
-        _record_logical_cz(log, regs[j], regs[j + 1])
-    return log.replay(plus_state(BLOCK_SIZE * n_logical, max_qubits)), log
+        record_logical_cz(log, regs[j], regs[j + 1])
+    return apply_gates(plus_state(BLOCK_SIZE * n_logical, max_qubits), log.gates), log
 
 
 def _build_elc(n_logical: int, max_qubits: int) -> tuple[StateVector, CircuitLog]:
@@ -217,24 +181,24 @@ def _build_elc(n_logical: int, max_qubits: int) -> tuple[StateVector, CircuitLog
 
     Gate order per the encoders: first Hadamard set on the cores, GHZ-type
     CZs, second Hadamard set, pentagons. For a 2-chain the first Hadamard pair
-    leaves the seeded two-qubit cluster state invariant and is logged as
-    identity-position; longer chains permute the core graph with it.
+    leaves the seeded two-qubit cluster state invariant and is tagged
+    ``IDENTITY_H``; longer chains permute the core graph with it.
     """
     regs = [LogicalRegister.block(j) for j in range(n_logical)]
     log = CircuitLog()
     for j in range(n_logical - 1):
         log.append(Gate.cz(regs[j].core, regs[j + 1].core), tag="core")
-    first_pair_invariant = n_logical == 2
+    first_h_tag = IDENTITY_H if n_logical == 2 else None
     for reg in regs:
-        log.append(Gate.h(reg.core), positional=first_pair_invariant)
+        log.append(Gate.h(reg.core), tag=first_h_tag)
     for reg in regs:
         for anc in reg.ancillae:
             log.append(Gate.cz(reg.core, anc), tag="ghz")
     for reg in regs:
         log.append(Gate.h(reg.core))
     for reg in regs:
-        _record_pentagon(log, reg)
-    return log.replay(plus_state(BLOCK_SIZE * n_logical, max_qubits)), log
+        record_pentagon(log, reg)
+    return apply_gates(plus_state(BLOCK_SIZE * n_logical, max_qubits), log.gates), log
 
 
 def build_cs2_direct(max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[StateVector, CircuitLog]:

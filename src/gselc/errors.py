@@ -29,10 +29,6 @@ class GraphFormatError(GselcError, ValueError):
     """Graph JSON failed validation (self-loop, duplicate, bad index)."""
 
 
-class LengthMismatchError(GselcError, ValueError):
-    """An assignment vector does not match the variable count."""
-
-
 class SizeMismatchError(GselcError, ValueError):
     """Two state vectors live on different qubit counts."""
 

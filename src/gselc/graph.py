@@ -27,6 +27,8 @@ __all__ = [
     "star",
     "cycle",
     "from_edges",
+    "random_graph",
+    "all_graphs",
     "toggle_edge",
     "neighborhood",
     "local_complement",
@@ -103,13 +105,6 @@ class Graph:
             out.extend((i, j) for j in mask_vertices(row >> (i + 1) << (i + 1)))
         return out
 
-    def is_symmetric(self) -> bool:
-        return all(
-            (self.rows[i] >> j) & 1 == (self.rows[j] >> i) & 1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
-
 
 def new_empty(n: int) -> Graph:
     """Graph with n vertices and no edges."""
@@ -130,6 +125,27 @@ def from_edges(n: int, edges) -> Graph:
         rows[a] |= 1 << b
         rows[b] |= 1 << a
     return Graph(n, tuple(rows))
+
+
+def random_graph(rng, n: int) -> Graph:
+    """Graph with pair {i, j} an edge when its ``rng.integers(0, 2)`` draw is 1.
+
+    One scalar draw per pair i < j, in row-major order, so seeded runs repeat.
+    """
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.integers(0, 2):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
+
+
+def all_graphs(n: int):
+    """Every simple graph on n labelled vertices, edge subsets in binary counting order."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for bits in range(1 << len(pairs)):
+        yield from_edges(n, (p for k, p in enumerate(pairs) if (bits >> k) & 1))
 
 
 def path(n: int) -> Graph:

@@ -49,7 +49,6 @@ __all__ = [
     "verify_stabilizers",
     "ghz_amplitude_check",
     "scan_theorem1_shared_neighbors",
-    "dump_csv",
 ]
 
 DEFAULT_MAX_QUBITS = 20
@@ -397,11 +396,7 @@ def scan_theorem1_shared_neighbors(
     while checked < trials and attempts < trials * 200:
         attempts += 1
         n = int(rng.integers(3, max_n + 1))
-        g = gr.new_empty(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.integers(0, 2):
-                    g = gr.toggle_edge(g, i, j)
+        g = gr.random_graph(rng, n)
         candidates = [
             (a, b)
             for a, b in g.edges()
@@ -435,11 +430,3 @@ def scan_theorem1_shared_neighbors(
             "tol": tol,
         },
     )
-
-
-def dump_csv(sv: StateVector) -> str:
-    """Amplitudes as ``index,real,imag`` lines in ascending basis order."""
-    lines = [
-        "%d,%.17g,%.17g" % (i, amp.real, amp.imag) for i, amp in enumerate(sv.amps)
-    ]
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Shared test helpers: graph enumeration, product states and reference kernels."""
+"""Shared test helpers: product states, edge parities and reference kernels."""
 
 from __future__ import annotations
 
@@ -15,20 +15,16 @@ ZERO = np.array([1.0, 0.0])
 ONE = np.array([0.0, 1.0])
 
 
-def all_graphs(n: int):
-    """Every simple graph on n labelled vertices."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for bits in range(1 << len(pairs)):
-        yield gr.from_edges(n, (p for k, p in enumerate(pairs) if (bits >> k) & 1))
+def edge_parity(g: gr.Graph) -> np.ndarray:
+    """Parity of the edges inside each basis state's support, as 0/1 per index.
 
-
-def random_graph(rng: np.random.Generator, n: int) -> gr.Graph:
-    g = gr.new_empty(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.integers(0, 2):
-                g = gr.toggle_edge(g, i, j)
-    return g
+    With x the bit vector of an index and U the upper-triangular adjacency
+    matrix, the count of edges inside the support is x^T U x.
+    """
+    vertices = np.arange(g.n)
+    x = (np.arange(1 << g.n)[:, None] >> vertices) & 1
+    upper = np.triu((np.array(g.rows, dtype=np.int64)[:, None] >> vertices) & 1, k=1)
+    return ((x @ upper) * x).sum(axis=1) & 1
 
 
 def kron_state(*factors) -> np.ndarray:

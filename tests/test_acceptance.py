@@ -13,8 +13,9 @@ import numpy as np
 from gselc import encoding as enc
 from gselc import graph as gr
 from gselc import statevector as sv
+from gselc.graph import all_graphs, random_graph
 
-from conftest import MINUS, PLUS, ZERO, all_graphs, kron_state, random_graph
+from conftest import MINUS, PLUS, ZERO, kron_state
 
 
 def _criterion(label: str, ok: bool, note: str = "") -> bool:
@@ -110,7 +111,9 @@ def test_c05_cs2_construction_identity():
 def test_c06_ghz_encode():
     core_zero = kron_state(ZERO, PLUS, PLUS, PLUS, PLUS)
     state = sv.StateVector(5, core_zero)
-    out, _ = enc.ghz_encode(state, enc.LogicalRegister.block(0), enc.CircuitLog())
+    log = enc.CircuitLog()
+    enc.record_ghz(log, enc.LogicalRegister.block(0))
+    out = sv.apply_gates(state, log.gates)
     expected = (kron_state(*([PLUS] * 5)) + kron_state(*([MINUS] * 5))) / np.sqrt(2)
     diff = float(np.max(np.abs(out.amps - expected)))
     ok = diff <= 1e-12
@@ -120,7 +123,7 @@ def test_c06_ghz_encode():
 def test_c07_pre_pentagon_intermediate():
     _, log = enc.build_cs2_elc()
     prefix = [e for e in log.entries if e.tag != "pentagon"]
-    mid = log.replay(sv.plus_state(10), prefix)
+    mid = sv.apply_gates(sv.plus_state(10), [e.gate for e in prefix])
     plus5 = kron_state(*([PLUS] * 5))
     minus5 = kron_state(*([MINUS] * 5))
     expected = 0.5 * (np.kron(plus5 + minus5, plus5) + np.kron(plus5 - minus5, minus5))

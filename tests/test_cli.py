@@ -215,6 +215,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         (["verify", "cs2"], "verify_cs2.json"),
         (["verify", "chain:4"], "verify_chain4.json"),
         (["encode", "--n-logical", "4"], "encode_n_logical4.json"),
+        (
+            ["verify", "theorem1", "--seed", "5", "--trials", "40"],
+            "verify_theorem1_seed5_trials40.json",
+        ),
+        (["verify", "vertex-lc"], "verify_vertex_lc.json"),
     ],
 )
 def test_stdout_matches_golden(capsys, argv, name):
@@ -239,10 +244,10 @@ def test_verify_rejects_trials_below_one(capsys, suite, trials):
     ],
 )
 def test_library_errors_exit_2_without_traceback(capsys, monkeypatch, exc, message):
-    def fail(cfg):
+    def fail(*args):
         raise exc
 
-    monkeypatch.setattr(cli, "_suite_cs2", fail)
+    monkeypatch.setattr(cli.encoding, "verify_cs2_equivalence", fail)
     code, out, err = run_cli(capsys, "verify", "cs2")
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"

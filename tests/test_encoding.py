@@ -34,6 +34,20 @@ def minus_pow(n):
 REG0 = enc.LogicalRegister.block(0)
 
 
+def record_encoder(log, reg):
+    """Full block encoder: GHZ fan-out then pentagon (9 CZ, 2 H per block)."""
+    enc.record_ghz(log, reg)
+    enc.record_pentagon(log, reg)
+
+
+def run_recorded(state, record, *regs):
+    """Record ``record``'s gates for each register in a fresh log, then run them."""
+    log = enc.CircuitLog()
+    for reg in regs:
+        record(log, reg)
+    return sv.apply_gates(state, log.gates), log
+
+
 def test_register_layout():
     reg = enc.LogicalRegister.block(2)
     assert reg.core == 10 and reg.ancillae == (11, 12, 13, 14)
@@ -43,26 +57,26 @@ def test_register_layout():
 
 
 def test_ghz_encode_on_zero():
-    out, log = enc.ghz_encode(state_of(block5(ZERO)), REG0, enc.CircuitLog())
+    out, log = run_recorded(state_of(block5(ZERO)), enc.record_ghz, REG0)
     expected = (plus_pow(5) + minus_pow(5)) / np.sqrt(2)
     assert np.max(np.abs(out.amps - expected)) <= 1e-12
     assert log.cz_count == 4 and log.hadamard_count == 2
 
 
 def test_ghz_encode_on_one():
-    out, _ = enc.ghz_encode(state_of(block5(ONE)), REG0, enc.CircuitLog())
+    out, _ = run_recorded(state_of(block5(ONE)), enc.record_ghz, REG0)
     expected = (plus_pow(5) - minus_pow(5)) / np.sqrt(2)
     assert np.max(np.abs(out.amps - expected)) <= 1e-12
 
 
 def test_pentagon_on_plus_gives_cycle_state():
-    out, log = enc.pentagon(sv.plus_state(5), REG0, enc.CircuitLog())
+    out, log = run_recorded(sv.plus_state(5), enc.record_pentagon, REG0)
     assert sv.equal_exact(out, sv.graph_state(gr.cycle(5)), 1e-12)
     assert log.cz_count == 5
 
 
 def test_pentagon_on_minus_gives_z_dressed_cycle_state():
-    out, _ = enc.pentagon(state_of(minus_pow(5)), REG0, enc.CircuitLog())
+    out, _ = run_recorded(state_of(minus_pow(5)), enc.record_pentagon, REG0)
     dressed = sv.graph_state(gr.cycle(5))
     for q in range(5):
         dressed = sv.apply_gate(dressed, sv.Gate.z(q))
@@ -70,18 +84,17 @@ def test_pentagon_on_minus_gives_z_dressed_cycle_state():
 
 
 def test_pentagon_twice_is_identity():
-    once, log = enc.pentagon(sv.plus_state(5), REG0, enc.CircuitLog())
-    twice, _ = enc.pentagon(once, REG0, log)
+    twice, log = run_recorded(sv.plus_state(5), enc.record_pentagon, REG0, REG0)
     assert sv.equal_exact(twice, sv.plus_state(5), 1e-12)
     assert log.cz_count == 10
 
 
 def test_encode_logical_maps_plus_minus():
-    plus_l, log = enc.encode_logical(state_of(block5(PLUS)), REG0, enc.CircuitLog())
+    plus_l, log = run_recorded(state_of(block5(PLUS)), record_encoder, REG0)
     assert log.cz_count == 9 and log.hadamard_count == 2
     assert sv.equal_exact(plus_l, sv.graph_state(gr.cycle(5)), 1e-12)
 
-    minus_l, _ = enc.encode_logical(state_of(block5(MINUS)), REG0, enc.CircuitLog())
+    minus_l, _ = run_recorded(state_of(block5(MINUS)), record_encoder, REG0)
     dressed = sv.graph_state(gr.cycle(5))
     for q in range(5):
         dressed = sv.apply_gate(dressed, sv.Gate.z(q))
@@ -103,7 +116,7 @@ def test_cs2_elc_counts():
     _, log = enc.build_cs2_elc()
     assert log.cz_count == 19
     assert log.hadamard_count == 2
-    assert log.positional_hadamard_count == 2
+    assert sum(1 for e in log.entries if e.tag == enc.IDENTITY_H) == 2
 
 
 def test_cs2_constructions_agree():
@@ -115,7 +128,7 @@ def test_cs2_constructions_agree():
 def test_cs2_elc_pre_pentagon_state():
     _, log = enc.build_cs2_elc()
     prefix = [e for e in log.entries if e.tag != "pentagon"]
-    mid = log.replay(sv.plus_state(10), prefix)
+    mid = sv.apply_gates(sv.plus_state(10), [e.gate for e in prefix])
 
     plus5, minus5 = plus_pow(5), minus_pow(5)
     expected = 0.5 * (
@@ -137,13 +150,9 @@ def test_first_hadamard_pair_leaves_two_qubit_cluster_invariant():
 
 
 def test_encoders_act_as_pentagons_on_all_plus():
-    state = sv.plus_state(10)
-    log = enc.CircuitLog()
-    for j in range(2):
-        state, log = enc.encode_logical(state, enc.LogicalRegister.block(j), log)
-    pent = sv.plus_state(10)
-    for j in range(2):
-        pent, _ = enc.pentagon(pent, enc.LogicalRegister.block(j), enc.CircuitLog())
+    regs = [enc.LogicalRegister.block(j) for j in range(2)]
+    state, _ = run_recorded(sv.plus_state(10), record_encoder, *regs)
+    pent, _ = run_recorded(sv.plus_state(10), enc.record_pentagon, *regs)
     assert sv.equal_exact(state, pent, 1e-12)
 
 
@@ -157,15 +166,12 @@ def test_logical_cz_identity_on_random_states():
         psi = state_of(raw / np.linalg.norm(raw))
 
         lhs = sv.apply_gate(psi, sv.Gate.cz(reg_a.core, reg_b.core))
-        for reg in (reg_a, reg_b):
-            lhs, _ = enc.encode_logical(lhs, reg, enc.CircuitLog())
+        lhs, _ = run_recorded(lhs, record_encoder, reg_a, reg_b)
 
-        rhs = psi
-        for reg in (reg_a, reg_b):
-            rhs, _ = enc.encode_logical(rhs, reg, enc.CircuitLog())
-        for qa in reg_a.qubits:
-            for qb in reg_b.qubits:
-                rhs = sv.apply_gate(rhs, sv.Gate.cz(qa, qb))
+        rhs, _ = run_recorded(psi, record_encoder, reg_a, reg_b)
+        logical_cz = enc.CircuitLog()
+        enc.record_logical_cz(logical_cz, reg_a, reg_b)
+        rhs = sv.apply_gates(rhs, logical_cz.gates)
 
         assert sv.equal_exact(lhs, rhs, 1e-9)
 
@@ -224,8 +230,8 @@ def test_build_logical_cluster_two_blocks():
     assert rep.passed
     assert log.cz_count == 19
     assert rep.details["direct"]["cz_count"] == 35
-    # log/compute consistency: replaying the log reproduces the state
-    replayed = log.replay(sv.plus_state(10))
+    # log/compute consistency: running the logged gates reproduces the state
+    replayed = sv.apply_gates(sv.plus_state(10), log.gates)
     assert sv.equal_exact(replayed, state, 1e-12)
     assert log.cz_count == sum(
         1 for e in log.entries if e.gate.kind is sv.GateKind.CZ

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gselc import graph as gr
 from gselc.errors import (
@@ -14,8 +18,7 @@ from gselc.errors import (
     TooSmallError,
     VertexRangeError,
 )
-
-from conftest import all_graphs, random_graph
+from gselc.graph import all_graphs, random_graph
 
 
 def test_new_empty():
@@ -179,6 +182,150 @@ def test_joined_stars_elc_is_complete_bipartite():
     k = gr.edge_local_complement(two, 0, 5)
     assert k.edge_count == 25
     assert gr.is_complete_bipartite(k, gr.vertex_mask(range(5)), gr.vertex_mask(range(5, 10)))
+
+
+def _clique(n, mask):
+    """Bit rows of every pair inside a vertex set."""
+    return tuple(mask & ~(1 << u) if (mask >> u) & 1 else 0 for u in range(n))
+
+
+def _cross(n, mask_a, mask_b):
+    """Bit rows of every pair with one end in each of two disjoint vertex sets."""
+    return tuple(
+        (mask_b if (mask_a >> u) & 1 else 0) | (mask_a if (mask_b >> u) & 1 else 0)
+        for u in range(n)
+    )
+
+
+def _xor(*row_sets):
+    return tuple(reduce(operator.xor, column) for column in zip(*row_sets))
+
+
+def _random_joined_pair(rng, max_n1, max_total):
+    n1 = int(rng.integers(1, max_n1 + 1))
+    n2 = int(rng.integers(1, max_total + 1 - n1))
+    g1, g2 = random_graph(rng, n1), random_graph(rng, n2)
+    c1, c2 = int(rng.integers(0, n1)), int(rng.integers(0, n2))
+    return g1, c1, g2, c2
+
+
+def test_elc_closed_form_on_joined_pairs():
+    # ELC on the CZ-joined pair: the edge c1-c2, c1 x N(c2), c2 x N(c1),
+    # N(c1) x N(c2), and every edge away from the cores left as it was
+    rng = np.random.default_rng(23)
+    cases = [(gr.new_empty(1), 0, gr.new_empty(1), 0), (gr.path(2), 1, gr.path(2), 0)]
+    cases += [_random_joined_pair(rng, 6, 12) for _ in range(200)]
+    for g1, c1, g2, c2 in cases:
+        n, c2g = g1.n + g2.n, c2 + g1.n
+        nb1, nb2 = g1.rows[c1], g2.rows[c2] << g1.n
+        cores = (1 << c1) | (1 << c2g)
+        untouched = tuple(
+            0 if (cores >> u) & 1 else row & ~cores
+            for u, row in enumerate(gr.disjoint_union(g1, g2).rows)
+        )
+        expected = _xor(
+            untouched,
+            _cross(n, 1 << c1, 1 << c2g),
+            _cross(n, 1 << c1, nb2),
+            _cross(n, 1 << c2g, nb1),
+            _cross(n, nb1, nb2),
+        )
+        joined = gr.toggle_edge(gr.disjoint_union(g1, g2), c1, c2g)
+        assert gr.edge_local_complement(joined, c1, c2g).rows == expected
+
+
+def test_cumulative_three_lc_edge_sets():
+    # the three intermediate edge sets of LC(c1) LC(c2) LC(c1) on the joined
+    # pair, each read as the cumulative change from the joined graph
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        g1, c1, g2, c2 = _random_joined_pair(rng, 5, 10)
+        n, c2g = g1.n + g2.n, c2 + g1.n
+        nb1, nb2 = g1.rows[c1], g2.rows[c2] << g1.n
+        r1 = _xor(_clique(n, nb1), _cross(n, 1 << c2g, nb1))
+        r2 = _xor(
+            _cross(n, 1 << c2g, nb1),
+            _cross(n, 1 << c1, nb1 | nb2),
+            _clique(n, nb2),
+            _cross(n, nb1, nb2),
+        )
+        r3 = _xor(
+            _cross(n, 1 << c2g, nb1 | nb2), _cross(n, 1 << c1, nb1 | nb2), _cross(n, nb1, nb2)
+        )
+        joined = gr.toggle_edge(gr.disjoint_union(g1, g2), c1, c2g)
+        g = joined
+        for vertex, expected in zip((c1, c2g, c1), (r1, r2, r3)):
+            g = gr.local_complement(g, vertex)
+            assert _xor(g.rows, joined.rows) == expected
+        assert g == gr.edge_local_complement(joined, c1, c2g)
+
+
+def test_random_graph_draws_one_bit_per_pair_in_row_major_order():
+    for n in range(0, 9):
+        rng = np.random.default_rng(n)
+        g = random_graph(rng, n)
+        ref = np.random.default_rng(n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert g.edges() == [p for p in pairs if ref.integers(0, 2)]
+        assert rng.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
+
+
+def test_all_graphs_enumerates_each_graph_once():
+    for n in range(0, 5):
+        graphs = list(all_graphs(n))
+        assert len(set(graphs)) == len(graphs) == 1 << (n * (n - 1) // 2)
+        assert graphs[0] == gr.new_empty(n)
+
+
+@st.composite
+def graphs(draw, min_n=0):
+    n = draw(st.integers(min_n, 64))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return gr.from_edges(n, (p for k, p in enumerate(pairs) if (bits >> k) & 1))
+
+
+@st.composite
+def graphs_with_vertex(draw):
+    g = draw(graphs(min_n=1))
+    return g, draw(st.integers(0, g.n - 1))
+
+
+@st.composite
+def graphs_with_edge(draw):
+    g = draw(graphs(min_n=2))
+    a = draw(st.integers(0, g.n - 1))
+    b = draw(st.integers(0, g.n - 1).filter(lambda v: v != a))
+    return (g if g.has_edge(a, b) else gr.toggle_edge(g, a, b)), a, b
+
+
+@settings(derandomize=True, deadline=None)
+@given(graphs_with_vertex())
+def test_lc_involution_property(case):
+    g, a = case
+    assert gr.local_complement(gr.local_complement(g, a), a) == g
+
+
+@settings(derandomize=True, deadline=None)
+@given(graphs_with_edge())
+def test_elc_involution_property(case):
+    g, a, b = case
+    assert gr.edge_local_complement(gr.edge_local_complement(g, a, b), a, b) == g
+
+
+@settings(derandomize=True, deadline=None)
+@given(graphs_with_edge())
+def test_elc_direct_rule_equals_three_lcs_property(case):
+    g, a, b = case
+    assert gr.edge_local_complement(g, a, b) == gr.elc_via_lcs(g, a, b)
+
+
+@settings(derandomize=True, deadline=None)
+@given(graphs())
+def test_json_round_trip_property(g):
+    text = gr.to_json(g)
+    assert gr.from_json(text) == g
+    assert gr.to_json(gr.from_json(text)) == text
 
 
 def test_disjoint_union():

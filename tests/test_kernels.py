@@ -8,8 +8,9 @@ import pytest
 from gselc import graph as gr
 from gselc import statevector as sv
 from gselc.errors import VertexRangeError
+from gselc.graph import all_graphs, random_graph
 
-from conftest import all_graphs, random_graph, reference_graph_state, reference_run
+from conftest import reference_graph_state, reference_run
 
 GATE_KINDS = list(sv.GateKind)
 

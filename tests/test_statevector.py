@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gselc import graph as gr
-from gselc import quadform as qf
 from gselc import statevector as sv
 from gselc.errors import (
     BadArityError,
@@ -14,8 +13,9 @@ from gselc.errors import (
     TooManyQubitsError,
     VertexRangeError,
 )
+from gselc.graph import all_graphs, random_graph
 
-from conftest import MINUS, ONE, PLUS, ZERO, all_graphs, kron_state, random_graph
+from conftest import MINUS, ONE, PLUS, ZERO, edge_parity, kron_state
 
 
 def state_of(amps):
@@ -35,20 +35,18 @@ def test_single_edge_graph_state():
 
 def test_cycle5_graph_state_signs():
     got = sv.graph_state(gr.cycle(5))
-    form = qf.from_graph(gr.cycle(5))
-    expected = np.array([(-1.0) ** qf.evaluate(form, x) for x in range(32)]) / np.sqrt(32)
+    expected = (-1.0) ** edge_parity(gr.cycle(5)) / np.sqrt(32)
     assert np.max(np.abs(got.amps - expected)) < 1e-12
+    assert edge_parity(gr.cycle(5))[0b11111] == 1  # all five edges inside
 
 
 def test_graph_state_amplitudes_match_form_exhaustive():
-    # cross-module consistency: CZ-built amplitudes vs the phase polynomial
+    # <x|G> = 2^(-n/2) (-1)^(number of edges inside the support of x)
     for n in range(0, 7):
         for g in all_graphs(n):
             state = sv.graph_state(g)
-            form = qf.from_graph(g)
-            scale = 2.0 ** (-n / 2)
-            expected = np.array([(-1.0) ** qf.evaluate(form, x) for x in range(1 << n)])
-            assert np.max(np.abs(state.amps - expected * scale)) < 1e-12
+            expected = (-1.0) ** edge_parity(g) * 2.0 ** (-n / 2)
+            assert np.max(np.abs(state.amps - expected)) < 1e-12
 
 
 def test_gate_arity_validation():
@@ -224,16 +222,6 @@ def test_shared_neighborhood_scan_records_outcome():
     assert not sv.equal_exact(lhs, rhs, 1e-9)
     ok, _ = sv.equal_up_to_global_phase(lhs, rhs, 1e-9)
     assert not ok
-
-
-def test_dump_csv_format():
-    state = state_of(np.array([1, 1, 1, -1]) / 2)
-    lines = sv.dump_csv(state).splitlines()
-    assert lines == ["0,0.5,0", "1,0.5,0", "2,0.5,0", "3,-0.5,0"]
-    plus = sv.plus_state(1)
-    first = sv.dump_csv(plus).splitlines()[0]
-    assert first == "0,%.17g,%.17g" % (plus.amps[0].real, plus.amps[0].imag)
-    assert float(first.split(",")[1]) == plus.amps[0].real  # %.17g round-trips exactly
 
 
 def test_state_vector_validation():
