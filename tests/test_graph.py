@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import operator
-from functools import reduce
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,82 +179,6 @@ def test_joined_stars_elc_is_complete_bipartite():
     k = gr.edge_local_complement(two, 0, 5)
     assert k.edge_count == 25
     assert gr.is_complete_bipartite(k, gr.vertex_mask(range(5)), gr.vertex_mask(range(5, 10)))
-
-
-def _clique(n, mask):
-    """Bit rows of every pair inside a vertex set."""
-    return tuple(mask & ~(1 << u) if (mask >> u) & 1 else 0 for u in range(n))
-
-
-def _cross(n, mask_a, mask_b):
-    """Bit rows of every pair with one end in each of two disjoint vertex sets."""
-    return tuple(
-        (mask_b if (mask_a >> u) & 1 else 0) | (mask_a if (mask_b >> u) & 1 else 0)
-        for u in range(n)
-    )
-
-
-def _xor(*row_sets):
-    return tuple(reduce(operator.xor, column) for column in zip(*row_sets))
-
-
-def _random_joined_pair(rng, max_n1, max_total):
-    n1 = int(rng.integers(1, max_n1 + 1))
-    n2 = int(rng.integers(1, max_total + 1 - n1))
-    g1, g2 = random_graph(rng, n1), random_graph(rng, n2)
-    c1, c2 = int(rng.integers(0, n1)), int(rng.integers(0, n2))
-    return g1, c1, g2, c2
-
-
-def test_elc_closed_form_on_joined_pairs():
-    # ELC on the CZ-joined pair: the edge c1-c2, c1 x N(c2), c2 x N(c1),
-    # N(c1) x N(c2), and every edge away from the cores left as it was
-    rng = np.random.default_rng(23)
-    cases = [(gr.new_empty(1), 0, gr.new_empty(1), 0), (gr.path(2), 1, gr.path(2), 0)]
-    cases += [_random_joined_pair(rng, 6, 12) for _ in range(200)]
-    for g1, c1, g2, c2 in cases:
-        n, c2g = g1.n + g2.n, c2 + g1.n
-        nb1, nb2 = g1.rows[c1], g2.rows[c2] << g1.n
-        cores = (1 << c1) | (1 << c2g)
-        untouched = tuple(
-            0 if (cores >> u) & 1 else row & ~cores
-            for u, row in enumerate(gr.disjoint_union(g1, g2).rows)
-        )
-        expected = _xor(
-            untouched,
-            _cross(n, 1 << c1, 1 << c2g),
-            _cross(n, 1 << c1, nb2),
-            _cross(n, 1 << c2g, nb1),
-            _cross(n, nb1, nb2),
-        )
-        joined = gr.toggle_edge(gr.disjoint_union(g1, g2), c1, c2g)
-        assert gr.edge_local_complement(joined, c1, c2g).rows == expected
-
-
-def test_cumulative_three_lc_edge_sets():
-    # the three intermediate edge sets of LC(c1) LC(c2) LC(c1) on the joined
-    # pair, each read as the cumulative change from the joined graph
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        g1, c1, g2, c2 = _random_joined_pair(rng, 5, 10)
-        n, c2g = g1.n + g2.n, c2 + g1.n
-        nb1, nb2 = g1.rows[c1], g2.rows[c2] << g1.n
-        r1 = _xor(_clique(n, nb1), _cross(n, 1 << c2g, nb1))
-        r2 = _xor(
-            _cross(n, 1 << c2g, nb1),
-            _cross(n, 1 << c1, nb1 | nb2),
-            _clique(n, nb2),
-            _cross(n, nb1, nb2),
-        )
-        r3 = _xor(
-            _cross(n, 1 << c2g, nb1 | nb2), _cross(n, 1 << c1, nb1 | nb2), _cross(n, nb1, nb2)
-        )
-        joined = gr.toggle_edge(gr.disjoint_union(g1, g2), c1, c2g)
-        g = joined
-        for vertex, expected in zip((c1, c2g, c1), (r1, r2, r3)):
-            g = gr.local_complement(g, vertex)
-            assert _xor(g.rows, joined.rows) == expected
-        assert g == gr.edge_local_complement(joined, c1, c2g)
 
 
 def test_random_graph_draws_one_bit_per_pair_in_row_major_order():
