@@ -41,7 +41,11 @@ __all__ = [
     "to_json",
     "from_json",
     "to_dot",
+    "MAX_VERTICES",
 ]
+
+# largest graph built or parsed; dense, it holds n^2 / 8 bytes (12.5 MB) of rows
+MAX_VERTICES = 10_000
 
 
 def vertex_mask(vertices) -> int:
@@ -55,12 +59,10 @@ def vertex_mask(vertices) -> int:
 def mask_vertices(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into a sorted tuple of vertex indices."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -110,13 +112,15 @@ def new_empty(n: int) -> Graph:
     """Graph with n vertices and no edges."""
     if n < 0:
         raise GraphFormatError(f"negative vertex count {n}")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"{n} vertices exceeds the limit of {MAX_VERTICES}")
     return Graph(n, (0,) * n)
 
 
 def from_edges(n: int, edges) -> Graph:
     """Graph with n vertices and the given edge pairs."""
-    rows = [0] * n
     g = new_empty(n)
+    rows = [0] * n
     for a, b in edges:
         g.check_vertex(a)
         g.check_vertex(b)
@@ -280,7 +284,7 @@ def from_json(text: str) -> Graph:
     if not isinstance(doc["edges"], list):
         raise GraphFormatError('"edges" must be a list')
     seen = set()
-    rows = [0] * n
+    rows = list(new_empty(n).rows)
     for item in doc["edges"]:
         if (
             not isinstance(item, list)

@@ -5,10 +5,13 @@ single-qubit Cliffords and CZ exactly, and checks the Hadamard-pair /
 edge-local-complementation identity, the local-complementation unitary with
 its residual Z gates, and stabilizer fixed points.
 
-Gates run in place: ``apply_gates`` copies its input and checks the norm once
-per gate list, CZ negates a strided view, and ``graph_state`` doubles the
-vector one qubit at a time. The tests keep the index-mask CZ and per-edge
-graph state as references that these kernels must match bit for bit.
+Gates run in place: ``apply_gates`` copies its input once per gate list. Each
+run of consecutive CZs is XORed into bit rows and applied as one multiply by
+the int8 sign vector (-1)^(x^T U x) that ``_sign_vector`` builds by doubling
+(``graph_state`` is 2^(-n/2) times it); a run that reduces to one CZ negates a
+strided view. Single-qubit gates write into two half-size scratch buffers made
+once per gate list. The tests keep index-based reference kernels that these
+must match bit for bit.
 
 Qubit convention: bit i of a basis-state index is qubit i (little endian), and
 qubit i is graph vertex i. Every cross-module index map goes through this one
@@ -17,8 +20,9 @@ convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
@@ -119,12 +123,15 @@ class Gate:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Dense 2^n complex amplitude vector; unit norm, read-only buffer."""
+    """Dense 2^n complex amplitude vector; unit norm, a read-only complex128 copy."""
 
     n_qubits: int
     amps: np.ndarray
+    _owned: InitVar[bool] = False  # a buffer this module just allocated: keep, do not copy
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
+        if not _owned:
+            object.__setattr__(self, "amps", np.array(self.amps, dtype=complex))
         if self.amps.shape != (1 << self.n_qubits,):
             raise SizeMismatchError(
                 f"expected {1 << self.n_qubits} amplitudes, got shape {self.amps.shape}"
@@ -150,40 +157,42 @@ def _check_cap(n: int, max_qubits: int) -> None:
 def plus_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     """|+>^n, the blank slate every graph state starts from."""
     _check_cap(n, max_qubits)
-    amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
-    return StateVector(n, amps)
+    return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=complex), _owned=True)
 
 
-def _cz_inplace(amps: np.ndarray, n: int, a: int, b: int) -> None:
-    lo, hi = min(a, b), max(a, b)
-    view = amps.reshape(1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    view[:, 1, :, 1, :] *= -1
-
-
-def _single_qubit_inplace(amps: np.ndarray, n: int, q: int, matrix: np.ndarray) -> None:
+def _single_qubit_inplace(amps: np.ndarray, n: int, q: int, matrix, scratch) -> None:
+    # each product goes through out= into a scratch half, the reference's
+    # arithmetic: in-place products differ from it in the last bit
     view = amps.reshape(1 << (n - q - 1), 2, 1 << q)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :].copy()
-    view[:, 0, :] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    view[:, 1, :] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+    a0, a1 = view[:, 0, :], view[:, 1, :]
+    t0, t1 = scratch.reshape(2, *a0.shape)
+    np.multiply(matrix[0, 0], a0, out=t0)
+    np.multiply(matrix[0, 1], a1, out=t1)
+    t0 += t1
+    np.multiply(matrix[1, 0], a0, out=t1)
+    a0[...] = t0
+    np.multiply(matrix[1, 1], a1, out=t0)
+    np.add(t0, t1, out=a1)
+
+
+def _sign_vector(n: int, lower: list[int]) -> np.ndarray:
+    """int8 (-1)^(x^T U x) for all x by doubling; bit j of ``lower[i]`` is U[j, i], j < i."""
+    sign = np.empty(1 << n, dtype=np.int8)
+    sign[0] = 1
+    for i in range(n):
+        half = sign[1 << i : 2 << i]
+        half[:] = sign[: 1 << i]
+        for j in mask_vertices(lower[i]):
+            half.reshape(1 << (i - j - 1), 2, 1 << j)[:, 1, :] *= -1
+    return sign
 
 
 def graph_state(g: Graph, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """|G> = product of CZ over the edges applied to |+>^n, one qubit at a time.
-
-    Adding qubit i copies the amplitudes so far into the half with bit i set,
-    then negates the entries of that half with bit j set for each neighbor
-    j < i: 2^n copies in all plus 2^(i-1) negations per edge (j, i).
-    """
+    """|G> = product of CZ over the edges on |+>^n: 2^(-n/2) times the edges' sign vector."""
     _check_cap(g.n, max_qubits)
-    amps = np.empty(1 << g.n, dtype=complex)
-    amps[0] = 2.0 ** (-g.n / 2)
-    for i in range(g.n):
-        half = amps[1 << i : 2 << i]
-        half[:] = amps[: 1 << i]
-        for j in mask_vertices(g.rows[i] & ((1 << i) - 1)):
-            half.reshape(1 << (i - j - 1), 2, 1 << j)[:, 1, :] *= -1
-    return StateVector(g.n, amps)
+    lower = [row & ((1 << i) - 1) for i, row in enumerate(g.rows)]
+    amps = _sign_vector(g.n, lower) * complex(2.0 ** (-g.n / 2))
+    return StateVector(g.n, amps, _owned=True)
 
 
 def apply_gates(sv: StateVector, gates) -> StateVector:
@@ -192,17 +201,29 @@ def apply_gates(sv: StateVector, gates) -> StateVector:
     Every target is checked before any work; the input state is never written.
     """
     gates = list(gates)
+    n = sv.n_qubits
     for gate in gates:
         for t in gate.targets:
-            if not 0 <= t < sv.n_qubits:
-                raise VertexRangeError(f"target {t} out of range for {sv.n_qubits} qubits")
+            if not 0 <= t < n:
+                raise VertexRangeError(f"target {t} out of range for {n} qubits")
     amps = sv.amps.copy()
-    for gate in gates:
-        if gate.kind is GateKind.CZ:
-            _cz_inplace(amps, sv.n_qubits, *gate.targets)
-        else:
-            _single_qubit_inplace(amps, sv.n_qubits, gate.targets[0], _MATRICES[gate.kind])
-    return StateVector(sv.n_qubits, amps)
+    single = any(gate.kind is not GateKind.CZ for gate in gates)
+    scratch = np.empty((2, 1 << (n - 1)), dtype=complex) if single else None
+    for is_cz, run in groupby(gates, key=lambda gate: gate.kind is GateKind.CZ):
+        if not is_cz:
+            for gate in run:
+                _single_qubit_inplace(amps, n, gate.targets[0], _MATRICES[gate.kind], scratch)
+            continue
+        lower = [0] * n  # the run as bit rows: a repeated pair cancels
+        for gate in run:
+            lower[max(gate.targets)] ^= 1 << min(gate.targets)
+        pairs = [(j, i) for i, row in enumerate(lower) if row for j in mask_vertices(row)]
+        if len(pairs) == 1:  # one CZ: negate a strided view
+            (lo, hi), = pairs
+            amps.reshape(1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)[:, 1, :, 1, :] *= -1
+        elif pairs:
+            amps *= _sign_vector(n, lower)
+    return StateVector(n, amps, _owned=True)
 
 
 def apply_gate(sv: StateVector, gate: Gate) -> StateVector:

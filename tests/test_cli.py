@@ -52,6 +52,16 @@ def test_graph_bad_specs(capsys, spec):
     assert out == "" and err.startswith("error:")
 
 
+def test_oversized_graph_exits_2_with_one_line(capsys, tmp_path):
+    too_many = gr.MAX_VERTICES + 1
+    src = tmp_path / "big.json"
+    src.write_text(f'{{"n": {too_many}, "edges": []}}', encoding="utf-8")
+    for argv in (("graph", f"empty:{too_many}"), ("apply", str(src), "lc:0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {too_many} vertices exceeds the limit of {gr.MAX_VERTICES}\n"
+
+
 def test_graph_out_file(capsys, tmp_path):
     target = tmp_path / "star.json"
     code, out, _ = run_cli(capsys, "graph", "star:2", "--out", str(target))

@@ -25,6 +25,22 @@ def test_new_empty():
     assert g4.n == 4 and g4.edge_count == 0
 
 
+def test_vertex_count_is_bounded():
+    assert gr.new_empty(gr.MAX_VERTICES).n == gr.MAX_VERTICES
+    too_many = gr.MAX_VERTICES + 1
+    for build in (gr.new_empty, gr.path, lambda n: gr.from_json(f'{{"n": {n}, "edges": []}}')):
+        with pytest.raises(GraphFormatError, match="exceeds the limit"):
+            build(too_many)
+
+
+def test_mask_vertices_lists_set_bits_in_order():
+    rng = np.random.default_rng(4)
+    for mask in [0, 1, 6, 1 << 200, (1 << 64) - 1] + [int(rng.integers(1 << 62)) for _ in range(50)]:
+        expected = tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+        assert gr.mask_vertices(mask) == expected
+        assert gr.vertex_mask(expected) == mask
+
+
 def test_empty_plus_toggles_is_path():
     g = gr.new_empty(4)
     for a, b in ((0, 1), (1, 2), (2, 3)):

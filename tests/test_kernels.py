@@ -94,3 +94,52 @@ def test_apply_gates_checks_every_target_first():
     with pytest.raises(VertexRangeError):
         sv.apply_gates(state, [sv.Gate.h(0), sv.Gate.cz(1, 3)])
     assert np.array_equal(state.amps, before)
+
+
+SINGLE_KINDS = [kind for kind in GATE_KINDS if kind is not sv.GateKind.CZ]
+
+
+def cz_run(rng: np.random.Generator, n: int, length: int) -> list[sv.Gate]:
+    if n < 2:
+        return []
+    return [sv.Gate.cz(*(int(q) for q in rng.choice(n, size=2, replace=False))) for _ in range(length)]
+
+
+def assert_matches_reference(state: sv.StateVector, gates: list[sv.Gate]) -> None:
+    got = sv.apply_gates(state, gates)
+    assert np.array_equal(got.amps, reference_run(state.amps, state.n_qubits, gates))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fused_cz_runs_match_reference(n):
+    rng = np.random.default_rng(2000 + n)
+    state = random_state(rng, n)
+    # runs of every length 0..40, each followed by a single-qubit gate of every kind in turn
+    gates = []
+    for length in range(41):
+        gates += cz_run(rng, n, length)
+        gates.append(sv.Gate(SINGLE_KINDS[length % len(SINGLE_KINDS)], (int(rng.integers(n)),)))
+    assert_matches_reference(state, gates)
+    # lists that begin or end with a run, or are one run
+    run = cz_run(rng, n, 7)
+    h = sv.Gate.h(int(rng.integers(n)))
+    for case in (run + [h], [h] + run, run + [h] + run, run):
+        assert_matches_reference(state, case)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_fused_cz_runs_that_cancel_or_cover_every_pair(n):
+    rng = np.random.default_rng(3000 + n)
+    state = random_state(rng, n)
+    run = cz_run(rng, n, 12)
+    flipped = [sv.Gate.cz(b, a) for a, b in (gate.targets for gate in run)]
+    single = sv.Gate.sqrt_iz(n - 1)
+    # the run followed by itself reversed cancels to nothing, also between gates
+    cancelled = run + flipped[::-1]
+    assert np.array_equal(sv.apply_gates(state, cancelled).amps, state.amps)
+    assert_matches_reference(state, [single] + cancelled + [single])
+    # repeated pairs that leave exactly one CZ
+    assert_matches_reference(state, [single] + cancelled + run[:1] + [single])
+    every_pair = [sv.Gate.cz(a, b) for a in range(n) for b in range(a + 1, n)]
+    assert_matches_reference(state, every_pair)
+    assert_matches_reference(state, [single] + every_pair + [sv.Gate.x(0)] + every_pair[::-1])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,39 @@ def test_state_vector_validation():
     state = sv.plus_state(2)
     with pytest.raises(ValueError):
         state.amps[0] = 9.0  # buffer is read-only
+
+
+def test_state_vector_copies_its_input_as_complex128():
+    a = np.array([1.0, 0.0])
+    state = sv.StateVector(1, a)
+    assert a.flags.writeable
+    a[0] = 2.0
+    assert state.amps.dtype == np.complex128
+    assert state.amps.tolist() == [1, 0]
+    assert not state.amps.flags.writeable
+    # a complex gate on a state built from a real array keeps its imaginary parts
+    out = sv.apply_gate(state, sv.Gate.sqrt_iz(0))
+    assert out.amps[0] == pytest.approx((1 + 1j) / np.sqrt(2))
+
+
+def test_fresh_buffers_are_not_copied_again():
+    # a second 2^n copy would add 1.0 to each peak ratio; the int8 sign vector
+    # and numpy's cast buffer add about 0.19 at 16 qubits
+    n = 16
+    amp_bytes = 16 << n
+    base = sv.graph_state(gr.path(n))
+    runs = {
+        "plus_state": lambda: sv.plus_state(n),
+        "graph_state": lambda: sv.graph_state(gr.cycle(n)),
+        "apply_gates, CZ run": lambda: sv.apply_gates(base, [sv.Gate.cz(0, 5), sv.Gate.cz(2, 9)]),
+        "apply_gates, one H": lambda: sv.apply_gate(base, sv.Gate.h(3)),
+    }
+    limits = {"apply_gates, one H": 2.3 * amp_bytes}  # the copy plus two scratch halves
+    tracemalloc.start()
+    try:
+        for name, run in runs.items():
+            tracemalloc.reset_peak()
+            run()
+            assert tracemalloc.get_traced_memory()[1] < limits.get(name, 1.3 * amp_bytes), name
+    finally:
+        tracemalloc.stop()
