@@ -13,6 +13,13 @@ strided view. Single-qubit gates write into two half-size scratch buffers made
 once per gate list. The tests keep index-based reference kernels that these
 must match bit for bit.
 
+Amplitudes stay float64 while they are all real: ``plus_state`` and
+``graph_state`` return float64, and ``apply_gates`` keeps float64 when every
+gate of the list is real (H, X, Z, CZ), else it promotes its copy once to
+complex128. This is exact: for a real matrix entry c and a real amplitude x the
+complex product (c+0j)(x+0j) has real part c*x - 0*0, the float64 product, and
+an imaginary part of +-0. The public ``StateVector(n, amps)`` stores complex128.
+
 Qubit convention: bit i of a basis-state index is qubit i (little endian), and
 qubit i is graph vertex i. Every cross-module index map goes through this one
 convention.
@@ -77,6 +84,9 @@ _MATRICES = {
     GateKind.SQRT_MINUS_IX: np.array([[-1, 1j], [1j, -1]], dtype=complex) / _SQRT2,
     GateKind.SQRT_IZ: np.array([[1j + 1, 0], [0, 1j - 1]], dtype=complex) / _SQRT2,
 }
+# the real parts of the real matrices (H, X, Z): on real amplitudes their float64
+# products equal the real parts of the complex products bit for bit
+_REAL = {kind: m.real.copy() for kind, m in _MATRICES.items() if not m.imag.any()}
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,11 @@ class Gate:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Dense 2^n complex amplitude vector; unit norm, a read-only complex128 copy."""
+    """Dense 2^n amplitude vector; unit norm, read-only.
+
+    The public constructor stores a complex128 copy of ``amps``. States this
+    module builds are float64 while every amplitude is real.
+    """
 
     n_qubits: int
     amps: np.ndarray
@@ -157,7 +171,7 @@ def _check_cap(n: int, max_qubits: int) -> None:
 def plus_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     """|+>^n, the blank slate every graph state starts from."""
     _check_cap(n, max_qubits)
-    return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=complex), _owned=True)
+    return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2)), _owned=True)
 
 
 def _single_qubit_inplace(amps: np.ndarray, n: int, q: int, matrix, scratch) -> None:
@@ -188,10 +202,10 @@ def _sign_vector(n: int, lower: list[int]) -> np.ndarray:
 
 
 def graph_state(g: Graph, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """|G> = product of CZ over the edges on |+>^n: 2^(-n/2) times the edges' sign vector."""
+    """|G> = product of CZ over the edges on |+>^n: 2^(-n/2) times the sign vector, float64."""
     _check_cap(g.n, max_qubits)
     lower = [row & ((1 << i) - 1) for i, row in enumerate(g.rows)]
-    amps = _sign_vector(g.n, lower) * complex(2.0 ** (-g.n / 2))
+    amps = _sign_vector(g.n, lower) * 2.0 ** (-g.n / 2)
     return StateVector(g.n, amps, _owned=True)
 
 
@@ -199,6 +213,8 @@ def apply_gates(sv: StateVector, gates) -> StateVector:
     """Exact unitary action of a gate list, run in order on one private copy.
 
     Every target is checked before any work; the input state is never written.
+    The copy stays float64 when the input is float64 and every gate is real
+    (H, X, Z, CZ); otherwise it is promoted once to complex128.
     """
     gates = list(gates)
     n = sv.n_qubits
@@ -206,13 +222,17 @@ def apply_gates(sv: StateVector, gates) -> StateVector:
         for t in gate.targets:
             if not 0 <= t < n:
                 raise VertexRangeError(f"target {t} out of range for {n} qubits")
-    amps = sv.amps.copy()
+    real = sv.amps.dtype == np.float64 and all(
+        gate.kind is GateKind.CZ or gate.kind in _REAL for gate in gates
+    )
+    matrices = _REAL if real else _MATRICES
+    amps = sv.amps.astype(np.float64 if real else complex)
     single = any(gate.kind is not GateKind.CZ for gate in gates)
-    scratch = np.empty((2, 1 << (n - 1)), dtype=complex) if single else None
+    scratch = np.empty((2, 1 << (n - 1)), dtype=amps.dtype) if single else None
     for is_cz, run in groupby(gates, key=lambda gate: gate.kind is GateKind.CZ):
         if not is_cz:
             for gate in run:
-                _single_qubit_inplace(amps, n, gate.targets[0], _MATRICES[gate.kind], scratch)
+                _single_qubit_inplace(amps, n, gate.targets[0], matrices[gate.kind], scratch)
             continue
         lower = [0] * n  # the run as bit rows: a repeated pair cancels
         for gate in run:
@@ -239,7 +259,9 @@ def _check_same_size(a: StateVector, b: StateVector) -> None:
 def amp_distance(a: StateVector, b: StateVector) -> float:
     """Largest component-wise amplitude deviation."""
     _check_same_size(a, b)
-    return float(np.max(np.abs(a.amps - b.amps)))
+    diff = a.amps - b.amps
+    mags = np.abs(diff, out=diff) if diff.dtype == np.float64 else np.abs(diff)
+    return float(mags.max())
 
 
 def equal_exact(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:

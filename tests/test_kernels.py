@@ -143,3 +143,52 @@ def test_fused_cz_runs_that_cancel_or_cover_every_pair(n):
     every_pair = [sv.Gate.cz(a, b) for a in range(n) for b in range(a + 1, n)]
     assert_matches_reference(state, every_pair)
     assert_matches_reference(state, [single] + every_pair + [sv.Gate.x(0)] + every_pair[::-1])
+
+
+REAL_KINDS = [sv.GateKind.H, sv.GateKind.X, sv.GateKind.Z]
+COMPLEX_KINDS = [sv.GateKind.SQRT_MINUS_IX, sv.GateKind.SQRT_IZ]
+
+
+def real_circuit(rng: np.random.Generator, n: int, length: int) -> list[sv.Gate]:
+    """Real single-qubit gates, each after a CZ run of length 0-6."""
+    gates = []
+    for _ in range(length):
+        gates += cz_run(rng, n, int(rng.integers(0, 7)))
+        gates.append(sv.Gate(REAL_KINDS[int(rng.integers(len(REAL_KINDS)))], (int(rng.integers(n)),)))
+    return gates
+
+
+def real_inputs(rng: np.random.Generator, n: int) -> list[sv.StateVector]:
+    return [sv.plus_state(n), sv.graph_state(random_graph(rng, n))]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_real_circuits_stay_float64_and_match_reference(n):
+    rng = np.random.default_rng(4000 + n)
+    for state in real_inputs(rng, n):
+        assert state.amps.dtype == np.float64
+        for _ in range(3):
+            gates = real_circuit(rng, n, 15)
+            got = sv.apply_gates(state, gates)
+            assert got.amps.dtype == np.float64
+            assert np.array_equal(got.amps, reference_run(state.amps.astype(complex), n, gates))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_mixed_circuits_promote_and_match_reference(n):
+    rng = np.random.default_rng(5000 + n)
+    for state in real_inputs(rng, n):
+        for kind in COMPLEX_KINDS:
+            gates = real_circuit(rng, n, 8)
+            odd = sv.Gate(kind, (int(rng.integers(n)),))
+            for at in (0, len(gates) // 2, len(gates)):  # first, middle, last
+                mixed = gates[:at] + [odd] + gates[at:]
+                want = reference_run(state.amps.astype(complex), n, mixed)
+                got = sv.apply_gates(state, mixed)
+                assert got.amps.dtype == np.complex128
+                assert np.array_equal(got.amps, want)
+                # gate by gate, the state is promoted at the complex gate
+                one_by_one = state
+                for gate in mixed:
+                    one_by_one = sv.apply_gate(one_by_one, gate)
+                assert np.array_equal(one_by_one.amps, want)

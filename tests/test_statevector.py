@@ -250,23 +250,79 @@ def test_state_vector_copies_its_input_as_complex128():
 
 
 def test_fresh_buffers_are_not_copied_again():
-    # a second 2^n copy would add 1.0 to each peak ratio; the int8 sign vector
-    # and numpy's cast buffer add about 0.19 at 16 qubits
+    # each limit is in bytes of the result's own buffer, so a second copy adds
+    # 1.0 whatever the dtype; the int8 sign vector and numpy's cast buffer add
+    # about 0.25 to a float64 buffer at 16 qubits
     n = 16
-    amp_bytes = 16 << n
     base = sv.graph_state(gr.path(n))
     runs = {
         "plus_state": lambda: sv.plus_state(n),
         "graph_state": lambda: sv.graph_state(gr.cycle(n)),
         "apply_gates, CZ run": lambda: sv.apply_gates(base, [sv.Gate.cz(0, 5), sv.Gate.cz(2, 9)]),
         "apply_gates, one H": lambda: sv.apply_gate(base, sv.Gate.h(3)),
+        "apply_gates, one sqrt(iZ)": lambda: sv.apply_gate(base, sv.Gate.sqrt_iz(3)),
     }
-    limits = {"apply_gates, one H": 2.3 * amp_bytes}  # the copy plus two scratch halves
+    # the copy plus two scratch halves
+    limits = {"apply_gates, one H": 2.3, "apply_gates, one sqrt(iZ)": 2.3}
+    other = sv.graph_state(gr.cycle(n))
     tracemalloc.start()
     try:
         for name, run in runs.items():
             tracemalloc.reset_peak()
-            run()
-            assert tracemalloc.get_traced_memory()[1] < limits.get(name, 1.3 * amp_bytes), name
+            nbytes = run().amps.nbytes
+            assert tracemalloc.get_traced_memory()[1] < limits.get(name, 1.3) * nbytes, name
+        # the float64 difference is the only 2^n temporary
+        tracemalloc.reset_peak()
+        sv.amp_distance(base, other)
+        assert tracemalloc.get_traced_memory()[1] < 1.3 * base.amps.nbytes, "amp_distance"
     finally:
         tracemalloc.stop()
+
+
+def test_module_built_real_states_are_float64():
+    g = gr.cycle(5)
+    real = [
+        sv.plus_state(4),
+        sv.graph_state(g),
+        sv.apply_gates(sv.graph_state(g), [sv.Gate.h(0), sv.Gate.cz(1, 3), sv.Gate.x(2), sv.Gate.z(4)]),
+        sv.apply_gates(sv.plus_state(3), []),
+    ]
+    for state in real:
+        assert state.amps.dtype == np.float64
+        assert not state.amps.flags.writeable
+
+
+def test_complex_gate_lists_return_complex128():
+    for kind in (sv.GateKind.SQRT_MINUS_IX, sv.GateKind.SQRT_IZ):
+        for start in (sv.graph_state(gr.path(3)), state_of(sv.graph_state(gr.path(3)).amps)):
+            out = sv.apply_gates(start, [sv.Gate.h(0), sv.Gate(kind, (1,)), sv.Gate.cz(0, 2)])
+            assert out.amps.dtype == np.complex128
+    # a complex128 input stays complex128 under real gates
+    assert sv.apply_gate(state_of(sv.plus_state(2).amps), sv.Gate.h(0)).amps.dtype == np.complex128
+
+
+def test_graph_state_then_sqrt_iz_keeps_imaginary_parts():
+    g = gr.star(3)
+    base = sv.graph_state(g)
+    out = sv.apply_gate(base, sv.Gate.sqrt_iz(2))
+    bit = (np.arange(1 << g.n) >> 2) & 1
+    expected = base.amps * np.where(bit, 1j - 1, 1j + 1) / np.sqrt(2.0)
+    assert np.max(np.abs(out.amps - expected)) <= 1e-15
+    assert np.all(np.abs(out.amps.imag) == 2.0 ** (-g.n / 2) / np.sqrt(2.0))
+
+
+def test_comparisons_do_not_depend_on_dtype():
+    lhs = sv.apply_gates(sv.graph_state(gr.path(4)), [sv.Gate.h(1), sv.Gate.h(2)])
+    minus = sv.apply_gates(sv.plus_state(3), [sv.Gate.z(0), sv.Gate.x(0)] * 2)  # (XZ)^2 = -I
+    pairs = [
+        (lhs, sv.graph_state(gr.edge_local_complement(gr.path(4), 1, 2))),  # equal up to rounding
+        (lhs, sv.graph_state(gr.cycle(4))),  # different states
+        (sv.plus_state(3), minus),  # a global phase of -1
+    ]
+    for a, b in pairs:
+        ac, bc = state_of(a.amps), state_of(b.amps)
+        assert a.amps.dtype == b.amps.dtype == np.float64
+        mixes = [(a, b), (a, bc), (ac, b), (ac, bc)]
+        assert len({sv.amp_distance(x, y) for x, y in mixes}) == 1
+        assert len({sv.equal_up_to_global_phase(x, y) for x, y in mixes}) == 1
+    assert sv.equal_up_to_global_phase(pairs[2][0], minus) == (True, -1)
