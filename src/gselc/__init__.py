@@ -16,7 +16,6 @@ from .graph import (
     elc_via_lcs,
     from_edges,
     from_json,
-    is_complete_bipartite,
     local_complement,
     neighborhood,
     new_empty,
@@ -32,10 +31,8 @@ from .statevector import (
     Gate,
     GateKind,
     StateVector,
-    apply_gate,
     equal_exact,
     equal_up_to_global_phase,
-    ghz_amplitude_check,
     graph_state,
     plus_state,
     scan_theorem1_shared_neighbors,
@@ -46,7 +43,6 @@ from .statevector import (
 from .encoding import (
     CircuitLog,
     LogicalRegister,
-    build_chain_core,
     build_cs2_direct,
     build_cs2_elc,
     build_logical_cluster,

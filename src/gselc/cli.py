@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,35 +27,25 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class Config:
-    max_qubits: int = sv.DEFAULT_MAX_QUBITS
-    tol_equal: float = 1e-9
-    seed: int = 0
-    output_format: str = "json"
+def _max_qubits(args: argparse.Namespace) -> int:
+    """The dense-state qubit cap: --max-qubits, else $GSELC_MAX_QUBITS, else 20.
 
-
-def _resolve_config(args: argparse.Namespace) -> Config:
-    cfg = Config()
+    Also checks --tol, so a bad limit of either kind exits 2 before any work.
+    """
+    cap = sv.DEFAULT_MAX_QUBITS
     env = os.environ.get(ENV_MAX_QUBITS)
     if env is not None:
         try:
-            cfg.max_qubits = int(env)
+            cap = int(env)
         except ValueError as exc:
             raise GselcError(f"{ENV_MAX_QUBITS} must be an integer, got {env!r}") from exc
-    if getattr(args, "max_qubits", None) is not None:
-        cfg.max_qubits = args.max_qubits  # flag wins over env
-    if getattr(args, "tol", None) is not None:
-        cfg.tol_equal = args.tol
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "format", None) is not None:
-        cfg.output_format = args.format
-    if cfg.max_qubits < 1:
-        raise GselcError(f"max qubits must be at least 1, got {cfg.max_qubits}")
-    if cfg.tol_equal <= 0:
-        raise GselcError(f"tolerance must be positive, got {cfg.tol_equal}")
-    return cfg
+    if args.max_qubits is not None:
+        cap = args.max_qubits  # flag wins over env
+    if cap < 1:
+        raise GselcError(f"max qubits must be at least 1, got {cap}")
+    if not 0 < args.tol < math.inf:  # also false for nan
+        raise GselcError(f"tolerance must be positive and finite, got {args.tol}")
+    return cap
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -97,23 +87,24 @@ def _parse_graph_spec(spec: str) -> gr.Graph:
     return makers[kind](count)
 
 
-def _parse_op(op: str) -> tuple[str, tuple[int, ...]]:
+def _parse_op(op: str) -> tuple[int, ...]:
+    """The LC vertices of one operation: lc:V is (V,), elc:A,B is (A, B, A)."""
     kind, sep, arg = op.partition(":")
     try:
         if kind == "lc" and sep:
-            return "lc", (int(arg),)
+            return (int(arg),)
         if kind == "elc" and sep:
             a, b = arg.split(",")
-            return "elc", (int(a), int(b))
+            return int(a), int(b), int(a)
     except ValueError:
         pass
     raise GselcError(f"bad operation {op!r}; expected lc:V or elc:A,B")
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    g = _parse_graph_spec(args.spec)
-    text = gr.to_dot(g) if cfg.output_format == "dot" else gr.to_json(g) + "\n"
+    """``graph`` and ``export``: one graph, written as canonical JSON or DOT."""
+    g = _parse_graph_spec(args.spec) if args.command == "graph" else _load_graph(args.graph)
+    text = gr.to_dot(g) if args.format == "dot" else gr.to_json(g) + "\n"
     _emit(text, args.out)
     return EXIT_OK
 
@@ -122,18 +113,14 @@ def cmd_apply(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     steps = []
     for op in args.ops:
-        kind, params = _parse_op(op)
-        if kind == "lc":
-            g = gr.local_complement(g, *params)
-            steps.append({"op": op, "graph": _graph_doc(g)})
-        else:
-            a, b = params
-            if not g.has_edge(a, b):
-                raise gr.NotAnEdgeError(f"{{{a}, {b}}} is not an edge")
-            # trace the literal three-LC decomposition
-            for vertex in (a, b, a):
-                g = gr.local_complement(g, vertex)
-                steps.append({"op": f"lc:{vertex}", "graph": _graph_doc(g)})
+        vertices = _parse_op(op)
+        elc = len(vertices) == 3
+        if elc and not g.has_edge(*vertices[:2]):
+            raise gr.NotAnEdgeError(f"{{{vertices[0]}, {vertices[1]}}} is not an edge")
+        # an ELC is traced as its literal three-LC decomposition
+        for vertex in vertices:
+            g = gr.local_complement(g, vertex)
+            steps.append({"op": f"lc:{vertex}" if elc else op, "graph": _graph_doc(g)})
     if args.trace:
         _emit(_dump_json({"steps": steps, "result": _graph_doc(g)}), args.out)
     else:
@@ -141,17 +128,9 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    fmt = args.format if args.format is not None else "dot"
-    g = _load_graph(args.graph)
-    text = gr.to_json(g) + "\n" if fmt == "json" else gr.to_dot(g)
-    _emit(text, args.out)
-    return EXIT_OK
-
-
-def _suite_theorem1(cfg: Config, trials: int | None) -> Report:
+def _suite_theorem1(args: argparse.Namespace, trials: int | None) -> Report:
     trials = 200 if trials is None else trials
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     failures = []
     worst = 0.0
     for t in range(trials):
@@ -161,35 +140,35 @@ def _suite_theorem1(cfg: Config, trials: int | None) -> Report:
         g2 = gr.random_graph(rng, n2)
         c1 = int(rng.integers(0, n1))
         c2 = int(rng.integers(0, n2))
-        rep = sv.verify_theorem1(g1, c1, g2, c2, cfg.tol_equal, cfg.max_qubits)
+        rep = sv.verify_theorem1(g1, c1, g2, c2, args.tol, args.max_qubits)
         worst = max(worst, rep.details["max_amp_diff"])
         if not rep.passed:
             failures.append({"trial": t, "report": rep.details})
     scan = sv.scan_theorem1_shared_neighbors(
-        trials=50, seed=cfg.seed, tol=cfg.tol_equal, max_qubits=cfg.max_qubits
+        trials=50, seed=args.seed, tol=args.tol, max_qubits=args.max_qubits
     )
     return Report(
         passed=not failures,
         details={
             "suite": "theorem1",
-            "seed": cfg.seed,
+            "seed": args.seed,
             "trials": trials,
             "failures": failures,
             "max_amp_diff": worst,
-            "tol": cfg.tol_equal,
+            "tol": args.tol,
             # excluded regime, recorded but never asserted
             "shared_neighborhood_scan": scan.details,
         },
     )
 
 
-def _suite_vertex_lc(cfg: Config, _trials: int | None) -> Report:
+def _suite_vertex_lc(args: argparse.Namespace, _trials: int | None) -> Report:
     checked = 0
     failures = []
     for n in range(0, 6):
         for g in gr.all_graphs(n):
             for a in range(n):
-                rep = sv.verify_vertex_lc(g, a, cfg.tol_equal, cfg.max_qubits)
+                rep = sv.verify_vertex_lc(g, a, args.tol, args.max_qubits)
                 checked += 1
                 if not rep.passed:
                     failures.append({"edges": [list(e) for e in g.edges()], "vertex": a})
@@ -199,35 +178,35 @@ def _suite_vertex_lc(cfg: Config, _trials: int | None) -> Report:
             "suite": "vertex-lc",
             "cases_checked": checked,
             "failures": failures,
-            "tol": cfg.tol_equal,
+            "tol": args.tol,
         },
     )
 
 
-def _suite_stabilizers(cfg: Config, trials: int | None) -> Report:
+def _suite_stabilizers(args: argparse.Namespace, trials: int | None) -> Report:
     trials = 50 if trials is None else trials
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     failures = []
     for t in range(trials):
         n = int(rng.integers(1, 9))
         g = gr.random_graph(rng, n)
-        rep = sv.verify_stabilizers(g, cfg.tol_equal, cfg.max_qubits)
+        rep = sv.verify_stabilizers(g, args.tol, args.max_qubits)
         if not rep.passed:
             failures.append({"trial": t, "report": rep.details})
     return Report(
         passed=not failures,
         details={
             "suite": "stabilizers",
-            "seed": cfg.seed,
+            "seed": args.seed,
             "trials": trials,
             "failures": failures,
-            "tol": cfg.tol_equal,
+            "tol": args.tol,
         },
     )
 
 
-def _suite_cs2(cfg: Config, _trials: int | None) -> Report:
-    rep = encoding.verify_cs2_equivalence(cfg.tol_equal, cfg.max_qubits)
+def _suite_cs2(args: argparse.Namespace, _trials: int | None) -> Report:
+    rep = encoding.verify_cs2_equivalence(args.tol, args.max_qubits)
     counts_ok = (
         rep.details["direct"]["cz_count"] == 35
         and rep.details["logical_cz_count"] == 25
@@ -239,9 +218,9 @@ def _suite_cs2(cfg: Config, _trials: int | None) -> Report:
     return Report(passed=rep.passed and counts_ok, details=details)
 
 
-def _suite_chain(cfg: Config, n_logical: int) -> Report:
-    steps = encoding.verify_chain_elc_steps(n_logical, cfg.tol_equal, cfg.max_qubits)
-    _, _, build = encoding.build_logical_cluster(n_logical, cfg.max_qubits)
+def _suite_chain(args: argparse.Namespace, n_logical: int) -> Report:
+    steps = encoding.verify_chain_elc_steps(n_logical, args.tol, args.max_qubits)
+    _, _, build = encoding.build_logical_cluster(n_logical, args.tol, args.max_qubits)
     return Report(
         passed=steps.passed and build.passed,
         details={
@@ -252,8 +231,9 @@ def _suite_chain(cfg: Config, n_logical: int) -> Report:
     )
 
 
-# Each suite takes the config and one parameter: N for chain:N, otherwise
-# --trials (None when not given; the randomized suites pick their default).
+# Each suite takes the parsed arguments, with the qubit cap resolved, and one
+# parameter: N for chain:N, otherwise --trials (None when not given; the
+# randomized suites pick their default).
 SUITES = {
     "theorem1": _suite_theorem1,
     "vertex-lc": _suite_vertex_lc,
@@ -264,7 +244,7 @@ SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    args.max_qubits = _max_qubits(args)
     suite = args.suite
     if args.trials is not None and args.trials < 1:
         raise GselcError(f"--trials must be at least 1, got {args.trials}")
@@ -279,8 +259,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             param = int(arg)
         except ValueError as exc:
             raise GselcError(f"bad chain suite {suite!r}; expected chain:N") from exc
-    report = SUITES[name](cfg, param)
-    if cfg.output_format == "text":
+    report = SUITES[name](args, param)
+    if args.format == "text":
         status = "PASS" if report.passed else "FAIL"
         _emit(f"{status} {suite}\n", args.out)
     else:
@@ -289,8 +269,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    _, _, rep = encoding.build_logical_cluster(args.n_logical, cfg.max_qubits)
+    _, _, rep = encoding.build_logical_cluster(args.n_logical, args.tol, _max_qubits(args))
     wanted = ("direct", "elc") if args.method == "both" else (args.method,)
     doc = {
         "n_logical": args.n_logical,
@@ -307,41 +286,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, formats=("json", "dot", "text")) -> None:
+    def output(p: argparse.ArgumentParser, formats=()) -> None:
+        # the first format is the default
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0], help=f"output format (default {formats[0]})")
         p.add_argument("--out", metavar="PATH", default=None, help="write output to PATH instead of stdout")
+
+    def limits(p: argparse.ArgumentParser) -> None:
         p.add_argument("--max-qubits", type=int, default=None, help="dense-state qubit cap (default 20; env GSELC_MAX_QUBITS)")
-        p.add_argument("--tol", type=float, default=None, help="state-equality tolerance (default 1e-9)")
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed for randomized suites (default 0)")
-        p.add_argument("--format", choices=formats, default=None, help="output format")
+        p.add_argument("--tol", type=float, default=1e-9, help="state-equality tolerance (default 1e-9)")
 
     p_graph = sub.add_parser("graph", help="construct a graph (star:N, cycle:N, path:N, empty:N, file:PATH)")
     p_graph.add_argument("spec")
-    common(p_graph, formats=("json", "dot"))
+    output(p_graph, formats=("json", "dot"))
     p_graph.set_defaults(func=cmd_graph)
 
     p_apply = sub.add_parser("apply", help="apply lc:V / elc:A,B operations to a graph file")
     p_apply.add_argument("graph", help="graph JSON file, or - for stdin")
     p_apply.add_argument("ops", nargs="+", help="operations, e.g. lc:0 elc:1,2")
     p_apply.add_argument("--trace", action="store_true", help="emit every intermediate graph of the LC decomposition")
-    common(p_apply, formats=("json",))
+    output(p_apply)
     p_apply.set_defaults(func=cmd_apply)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", help="theorem1 | vertex-lc | stabilizers | cs2 | chain:N")
     p_verify.add_argument("--trials", type=int, default=None, help="randomized-suite trial count")
-    common(p_verify, formats=("json", "text"))
+    p_verify.add_argument("--seed", type=int, default=0, help="PRNG seed for randomized suites (default 0)")
+    limits(p_verify)
+    output(p_verify, formats=("json", "text"))
     p_verify.set_defaults(func=cmd_verify)
 
     p_encode = sub.add_parser("encode", help="build logical cluster states and report gate counts")
     p_encode.add_argument("--n-logical", type=int, default=2, help="even number of logical qubits (default 2)")
     p_encode.add_argument("--method", choices=("direct", "elc", "both"), default="both")
-    common(p_encode, formats=("json",))
+    limits(p_encode)
+    output(p_encode)
     p_encode.set_defaults(func=cmd_encode)
 
     p_export = sub.add_parser("export", help="re-serialize a graph file as DOT or canonical JSON")
     p_export.add_argument("graph", help="graph JSON file, or - for stdin")
-    common(p_export, formats=("dot", "json"))
-    p_export.set_defaults(func=cmd_export)
+    output(p_export, formats=("dot", "json"))
+    p_export.set_defaults(func=cmd_graph)
 
     return parser
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from . import graph as gr
 from .errors import OddChainError, VertexRangeError
-from .graph import Graph
 from .report import Report
 from .statevector import (
     DEFAULT_MAX_QUBITS,
@@ -34,7 +33,6 @@ from .statevector import (
 __all__ = [
     "IDENTITY_H",
     "LogicalRegister",
-    "LoggedGate",
     "CircuitLog",
     "record_ghz",
     "record_pentagon",
@@ -42,7 +40,6 @@ __all__ = [
     "build_cs2_direct",
     "build_cs2_elc",
     "verify_cs2_equivalence",
-    "build_chain_core",
     "verify_chain_elc_steps",
     "build_logical_cluster",
     "construction_summary",
@@ -77,34 +74,22 @@ class LogicalRegister:
 IDENTITY_H = "identity_h"
 
 
-@dataclass(frozen=True)
-class LoggedGate:
-    gate: Gate
-    tag: str | None = None
-
-
 class CircuitLog:
-    """Append-only gate record with CZ and Hadamard accounting."""
+    """Append-only gate record with CZ and Hadamard accounting; ``tags[i]`` tags ``gates[i]``."""
 
     def __init__(self):
-        self._entries: list[LoggedGate] = []
-
-    @property
-    def entries(self) -> tuple[LoggedGate, ...]:
-        return tuple(self._entries)
-
-    @property
-    def gates(self) -> list[Gate]:
-        return [e.gate for e in self._entries]
+        self.gates: list[Gate] = []
+        self.tags: list[str | None] = []
 
     def append(self, gate: Gate, tag: str | None = None) -> None:
-        self._entries.append(LoggedGate(gate, tag))
+        self.gates.append(gate)
+        self.tags.append(tag)
 
     def count_cz(self, tag: str | None = None) -> int:
         return sum(
             1
-            for e in self._entries
-            if e.gate.kind is GateKind.CZ and (tag is None or e.tag == tag)
+            for gate, t in zip(self.gates, self.tags)
+            if gate.kind is GateKind.CZ and (tag is None or t == tag)
         )
 
     @property
@@ -116,8 +101,8 @@ class CircuitLog:
         """Effective Hadamards; identity-position pairs are excluded."""
         return sum(
             1
-            for e in self._entries
-            if e.gate.kind is GateKind.H and e.tag != IDENTITY_H
+            for gate, t in zip(self.gates, self.tags)
+            if gate.kind is GateKind.H and t != IDENTITY_H
         )
 
 
@@ -232,16 +217,6 @@ def verify_cs2_equivalence(
     )
 
 
-def build_chain_core(n_logical: int) -> tuple[Graph, CircuitLog]:
-    """The bare core chain: a path graph on the cores and the CZs that make it."""
-    _check_chain_length(n_logical)
-    g = gr.path(n_logical)
-    log = CircuitLog()
-    for a, b in g.edges():
-        log.append(Gate.cz(a, b), tag="core")
-    return g, log
-
-
 def verify_chain_elc_steps(
     n_logical: int, tol: float = 1e-9, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> Report:
@@ -251,9 +226,9 @@ def verify_chain_elc_steps(
     the state after the pair must equal the graph state of the edge-locally-
     complemented graph, exactly. Step graphs are recorded for inspection.
     """
-    chain, _ = build_chain_core(n_logical)
-    sv = graph_state(chain, max_qubits)
-    g = chain
+    _check_chain_length(n_logical)
+    g = gr.path(n_logical)
+    sv = graph_state(g, max_qubits)
     steps = []
     worst = 0.0
     for k in range(0, n_logical - 1, 2):
@@ -275,18 +250,18 @@ def verify_chain_elc_steps(
 
 
 def build_logical_cluster(
-    n_logical: int, max_qubits: int = DEFAULT_MAX_QUBITS
+    n_logical: int, tol: float = 1e-9, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> tuple[StateVector, CircuitLog, Report]:
     """Full even-length logical cluster state, shortcut build, checked against direct.
 
     Returns the shortcut state and log plus a report comparing it to the
-    reference construction (encode all blocks, then 25-CZ logical gates).
+    reference construction (encode all blocks, then 25-CZ logical gates) at
+    ``tol``.
     """
     _check_chain_length(n_logical)
     elc_sv, elc_log = _build_elc(n_logical, max_qubits)
     direct_sv, direct_log = _build_direct(n_logical, max_qubits)
     diff = amp_distance(direct_sv, elc_sv)
-    tol = 1e-9
     report = Report(
         passed=diff <= tol,
         details={

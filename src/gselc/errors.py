@@ -21,10 +21,6 @@ class TooSmallError(GselcError, ValueError):
     """A constructor was given a size below its minimum."""
 
 
-class NotAPartitionError(GselcError, ValueError):
-    """Two vertex sets do not partition the vertex set."""
-
-
 class GraphFormatError(GselcError, ValueError):
     """Graph JSON failed validation (self-loop, duplicate, bad index)."""
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .errors import (
     GraphFormatError,
     NotAnEdgeError,
-    NotAPartitionError,
     SelfLoopError,
     TooSmallError,
     VertexRangeError,
@@ -35,8 +34,6 @@ __all__ = [
     "edge_local_complement",
     "elc_via_lcs",
     "disjoint_union",
-    "is_complete_bipartite",
-    "vertex_mask",
     "mask_vertices",
     "to_json",
     "from_json",
@@ -46,14 +43,6 @@ __all__ = [
 
 # largest graph built or parsed; dense, it holds n^2 / 8 bytes (12.5 MB) of rows
 MAX_VERTICES = 10_000
-
-
-def vertex_mask(vertices) -> int:
-    """Pack an iterable of vertex indices into a bitmask."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def mask_vertices(mask: int) -> tuple[int, ...]:
@@ -245,23 +234,6 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Both graphs side by side; g2's vertices shift up by g1.n."""
     shifted = tuple(row << g1.n for row in g2.rows)
     return Graph(g1.n + g2.n, g1.rows + shifted)
-
-
-def is_complete_bipartite(g: Graph, part_a: int, part_b: int) -> bool:
-    """True iff every cross edge between the two parts exists and no others.
-
-    Parts are vertex bitmasks and must partition {0, ..., n-1}.
-    """
-    full = (1 << g.n) - 1
-    if part_a & part_b or (part_a | part_b) != full:
-        raise NotAPartitionError("parts must be disjoint and cover all vertices")
-    for u in mask_vertices(part_a):
-        if g.rows[u] != part_b:
-            return False
-    for v in mask_vertices(part_b):
-        if g.rows[v] != part_a:
-            return False
-    return True
 
 
 def to_json(g: Graph) -> str:

@@ -50,7 +50,6 @@ __all__ = [
     "StateVector",
     "plus_state",
     "graph_state",
-    "apply_gate",
     "apply_gates",
     "amp_distance",
     "equal_exact",
@@ -58,7 +57,6 @@ __all__ = [
     "verify_theorem1",
     "verify_vertex_lc",
     "verify_stabilizers",
-    "ghz_amplitude_check",
     "scan_theorem1_shared_neighbors",
 ]
 
@@ -155,14 +153,6 @@ class StateVector:
         self.amps.setflags(write=False)
 
 
-def _bit_parity(values: np.ndarray) -> np.ndarray:
-    """Popcount parity of each int64 entry, as 0/1."""
-    out = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        out ^= out >> shift
-    return out & 1
-
-
 def _check_cap(n: int, max_qubits: int) -> None:
     if n > max_qubits:
         raise TooManyQubitsError(f"{n} qubits exceeds the cap of {max_qubits}")
@@ -244,11 +234,6 @@ def apply_gates(sv: StateVector, gates) -> StateVector:
         elif pairs:
             amps *= _sign_vector(n, lower)
     return StateVector(n, amps, _owned=True)
-
-
-def apply_gate(sv: StateVector, gate: Gate) -> StateVector:
-    """Exact unitary action of one gate; returns a new state."""
-    return apply_gates(sv, [gate])
 
 
 def _check_same_size(a: StateVector, b: StateVector) -> None:
@@ -339,7 +324,6 @@ def verify_vertex_lc(
     up to a global phase.
     """
     g.check_vertex(a)
-    _check_cap(g.n, max_qubits)
     nbrs = mask_vertices(gr.neighborhood(g, a))
 
     lhs = apply_gates(graph_state(g, max_qubits), [*map(Gate.sqrt_iz, nbrs), Gate.sqrt_minus_ix(a)])
@@ -361,7 +345,6 @@ def verify_stabilizers(
     g: Graph, tol: float = 1e-9, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> Report:
     """Check X_a prod_{b in N(a)} Z_b fixes |G> for every vertex a."""
-    _check_cap(g.n, max_qubits)
     base = graph_state(g, max_qubits)
     worst = 0.0
     failures = []
@@ -379,39 +362,6 @@ def verify_stabilizers(
             "generators_checked": g.n,
             "failed_vertices": failures,
             "max_amp_diff": worst,
-            "tol": tol,
-        },
-    )
-
-
-def ghz_amplitude_check(
-    n_leaves: int, tol: float = 1e-12, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> Report:
-    """Check star-graph amplitudes and that H on the hub gives the GHZ form.
-
-    The star state carries sign (-1)^(hub bit times leaf parity); after H on
-    the hub it becomes (|+>^(n+1) + |->^(n+1)) / sqrt(2).
-    """
-    n = n_leaves + 1
-    _check_cap(n, max_qubits)
-    sv = graph_state(gr.star(n_leaves), max_qubits)
-
-    idx = np.arange(1 << n, dtype=np.int64)
-    hub = idx & 1
-    leaf_parity = _bit_parity(idx >> 1)
-    expected_star = ((-1.0) ** (hub * leaf_parity)) * 2.0 ** (-n / 2)
-    star_diff = float(np.max(np.abs(sv.amps - expected_star)))
-
-    ghz = apply_gate(sv, Gate.h(0))
-    expected_ghz = (1.0 + (-1.0) ** _bit_parity(idx)) * 2.0 ** (-(n + 1) / 2)
-    ghz_diff = float(np.max(np.abs(ghz.amps - expected_ghz)))
-
-    return Report(
-        passed=star_diff <= tol and ghz_diff <= tol,
-        details={
-            "n_leaves": n_leaves,
-            "star_max_amp_diff": star_diff,
-            "ghz_max_amp_diff": ghz_diff,
             "tol": tol,
         },
     )

@@ -27,6 +27,11 @@ def edge_parity(g: gr.Graph) -> np.ndarray:
     return ((x @ upper) * x).sum(axis=1) & 1
 
 
+def complete_bipartite(m: int, n: int) -> gr.Graph:
+    """K_{m,n} from its edge list: each of 0..m-1 joined to each of m..m+n-1."""
+    return gr.from_edges(m + n, [(a, b) for a in range(m) for b in range(m, m + n)])
+
+
 def kron_state(*factors) -> np.ndarray:
     """Tensor product with factors[i] on qubit i (bit i of the index)."""
     return reduce(np.kron, reversed([np.asarray(f, dtype=complex) for f in factors]))

@@ -15,7 +15,7 @@ from gselc import graph as gr
 from gselc import statevector as sv
 from gselc.graph import all_graphs, random_graph
 
-from conftest import MINUS, PLUS, ZERO, kron_state
+from conftest import MINUS, PLUS, ZERO, complete_bipartite, kron_state
 
 
 def _criterion(label: str, ok: bool, note: str = "") -> bool:
@@ -74,7 +74,7 @@ def test_c03_complete_bipartite_claim():
     elapsed = time.perf_counter() - t0
 
     ok = (
-        gr.is_complete_bipartite(k, gr.vertex_mask(range(5)), gr.vertex_mask(range(5, 10)))
+        k == complete_bipartite(5, 5)
         and k.edge_count == 25
         and elapsed < 1e-3
     )
@@ -122,8 +122,8 @@ def test_c06_ghz_encode():
 
 def test_c07_pre_pentagon_intermediate():
     _, log = enc.build_cs2_elc()
-    prefix = [e for e in log.entries if e.tag != "pentagon"]
-    mid = sv.apply_gates(sv.plus_state(10), [e.gate for e in prefix])
+    prefix = [gate for gate, tag in zip(log.gates, log.tags) if tag != "pentagon"]
+    mid = sv.apply_gates(sv.plus_state(10), prefix)
     plus5 = kron_state(*([PLUS] * 5))
     minus5 = kron_state(*([MINUS] * 5))
     expected = 0.5 * (np.kron(plus5 + minus5, plus5) + np.kron(plus5 - minus5, minus5))

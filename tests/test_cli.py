@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 from pathlib import Path
@@ -205,8 +206,73 @@ def test_max_qubits_env_and_flag(capsys, monkeypatch):
 
 
 def test_bad_tolerance(capsys):
-    code, _, err = run_cli(capsys, "verify", "cs2", "--tol", "-1")
-    assert code == 2 and "tolerance" in err
+    # nan fails every ``diff <= tol`` and inf passes every one: both are refused
+    for tol in ("-1", "0", "nan", "inf"):
+        for argv in (("verify", "cs2"), ("encode",)):
+            code, out, err = run_cli(capsys, *argv, "--tol", tol)
+            assert code == 2 and out == "", (argv, tol)
+            assert err.startswith("error: tolerance") and err.count("\n") == 1, (argv, tol)
+
+
+def test_tol_reaches_the_logical_build(capsys):
+    # the two builds differ by about 1e-17 in rounding, so 1e-30 must fail both
+    code, out, _ = run_cli(capsys, "encode", "--n-logical", "2", "--tol", "1e-30")
+    assert code == 1
+    assert [c["equal_to_reference"] for c in json.loads(out)["constructions"]] == [False, False]
+    code, out, _ = run_cli(capsys, "verify", "chain:2", "--tol", "1e-30")
+    assert code == 1
+    details = json.loads(out)["details"]
+    assert details["core_steps"]["tol"] == details["logical_build"]["tol"] == 1e-30
+    assert details["logical_build"]["elc"]["equal_to_reference"] is False
+
+
+# every flag each subcommand accepts; the first --format choice is the default
+CLI_FLAGS = {
+    "graph": {"--format", "--out"},
+    "apply": {"--trace", "--out"},
+    "export": {"--format", "--out"},
+    "verify": {"--trials", "--seed", "--format", "--max-qubits", "--tol", "--out"},
+    "encode": {"--n-logical", "--method", "--max-qubits", "--tol", "--out"},
+}
+CLI_FORMATS = {"graph": ("json", "dot"), "export": ("dot", "json"), "verify": ("json", "text")}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(CLI_FLAGS)
+    for name, sub in subparsers.choices.items():
+        options = {o: a for a in sub._actions for o in a.option_strings}
+        assert set(options) - {"-h", "--help"} == CLI_FLAGS[name], name
+        if name in CLI_FORMATS:
+            fmt = options["--format"]
+            assert tuple(fmt.choices) == CLI_FORMATS[name] and fmt.default == fmt.choices[0]
+    assert sum(map(len, CLI_FLAGS.values())) == 17
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "star:2", "--seed", "3"],
+        ["encode", "--format", "json"],
+        ["apply", "-", "lc:0", "--max-qubits", "4"],
+        ["export", "-", "--tol", "1e-9"],
+        ["encode", "--seed", "1"],
+    ],
+)
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_graph_commands_ignore_the_qubit_cap_env(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv(cli.ENV_MAX_QUBITS, "please")
+    src = write_graph(tmp_path, gr.path(3))
+    for argv in (("graph", "path:3"), ("apply", src, "lc:1"), ("export", src)):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
 
 
 def test_missing_file(capsys, tmp_path):

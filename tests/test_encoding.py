@@ -10,7 +10,7 @@ from gselc import graph as gr
 from gselc import statevector as sv
 from gselc.errors import OddChainError, VertexRangeError
 
-from conftest import MINUS, ONE, PLUS, ZERO, kron_state
+from conftest import MINUS, ONE, PLUS, ZERO, complete_bipartite, kron_state
 
 
 def state_of(amps):
@@ -79,7 +79,7 @@ def test_pentagon_on_minus_gives_z_dressed_cycle_state():
     out, _ = run_recorded(state_of(minus_pow(5)), enc.record_pentagon, REG0)
     dressed = sv.graph_state(gr.cycle(5))
     for q in range(5):
-        dressed = sv.apply_gate(dressed, sv.Gate.z(q))
+        dressed = sv.apply_gates(dressed, [sv.Gate.z(q)])
     assert sv.equal_exact(out, dressed, 1e-12)
 
 
@@ -97,7 +97,7 @@ def test_encode_logical_maps_plus_minus():
     minus_l, _ = run_recorded(state_of(block5(MINUS)), record_encoder, REG0)
     dressed = sv.graph_state(gr.cycle(5))
     for q in range(5):
-        dressed = sv.apply_gate(dressed, sv.Gate.z(q))
+        dressed = sv.apply_gates(dressed, [sv.Gate.z(q)])
     assert sv.equal_exact(minus_l, dressed, 1e-12)
     # the logical basis pair is orthogonal
     assert abs(np.vdot(minus_l.amps, plus_l.amps)) <= 1e-9
@@ -116,7 +116,7 @@ def test_cs2_elc_counts():
     _, log = enc.build_cs2_elc()
     assert log.cz_count == 19
     assert log.hadamard_count == 2
-    assert sum(1 for e in log.entries if e.tag == enc.IDENTITY_H) == 2
+    assert log.tags.count(enc.IDENTITY_H) == 2
 
 
 def test_cs2_constructions_agree():
@@ -127,8 +127,8 @@ def test_cs2_constructions_agree():
 
 def test_cs2_elc_pre_pentagon_state():
     _, log = enc.build_cs2_elc()
-    prefix = [e for e in log.entries if e.tag != "pentagon"]
-    mid = sv.apply_gates(sv.plus_state(10), [e.gate for e in prefix])
+    prefix = [gate for gate, tag in zip(log.gates, log.tags) if tag != "pentagon"]
+    mid = sv.apply_gates(sv.plus_state(10), prefix)
 
     plus5, minus5 = plus_pow(5), minus_pow(5)
     expected = 0.5 * (
@@ -139,12 +139,12 @@ def test_cs2_elc_pre_pentagon_state():
     # same state as the complete-bipartite graph state on the two blocks
     two = gr.toggle_edge(gr.disjoint_union(gr.star(4), gr.star(4)), 0, 5)
     k55 = gr.edge_local_complement(two, 0, 5)
-    assert gr.is_complete_bipartite(k55, gr.vertex_mask(range(5)), gr.vertex_mask(range(5, 10)))
+    assert k55 == complete_bipartite(5, 5)
     assert sv.equal_exact(mid, sv.graph_state(k55), 1e-9)
 
 
 def test_first_hadamard_pair_leaves_two_qubit_cluster_invariant():
-    seeded = sv.apply_gate(sv.plus_state(2), sv.Gate.cz(0, 1))
+    seeded = sv.apply_gates(sv.plus_state(2), [sv.Gate.cz(0, 1)])
     after = sv.apply_gates(seeded, [sv.Gate.h(0), sv.Gate.h(1)])
     assert sv.equal_exact(after, seeded, 1e-12)
 
@@ -165,7 +165,7 @@ def test_logical_cz_identity_on_random_states():
         raw = rng.normal(size=1024) + 1j * rng.normal(size=1024)
         psi = state_of(raw / np.linalg.norm(raw))
 
-        lhs = sv.apply_gate(psi, sv.Gate.cz(reg_a.core, reg_b.core))
+        lhs = sv.apply_gates(psi, [sv.Gate.cz(reg_a.core, reg_b.core)])
         lhs, _ = run_recorded(lhs, record_encoder, reg_a, reg_b)
 
         rhs, _ = run_recorded(psi, record_encoder, reg_a, reg_b)
@@ -200,14 +200,10 @@ def test_construction_summary_schema():
     assert doc["construction"] == "elc" and doc["cz_count"] == 19
 
 
-def test_build_chain_core():
-    g2, log2 = enc.build_chain_core(2)
-    assert g2.edges() == [(0, 1)] and log2.cz_count == 1
-    g4, log4 = enc.build_chain_core(4)
-    assert g4 == gr.path(4) and log4.cz_count == 3
+def test_chain_elc_steps_rejects_odd_lengths():
     for bad in (3, 1, 0, -2):
         with pytest.raises(OddChainError):
-            enc.build_chain_core(bad)
+            enc.verify_chain_elc_steps(bad)
 
 
 def test_chain_elc_steps_reference_case():
@@ -233,9 +229,8 @@ def test_build_logical_cluster_two_blocks():
     # log/compute consistency: running the logged gates reproduces the state
     replayed = sv.apply_gates(sv.plus_state(10), log.gates)
     assert sv.equal_exact(replayed, state, 1e-12)
-    assert log.cz_count == sum(
-        1 for e in log.entries if e.gate.kind is sv.GateKind.CZ
-    )
+    assert len(log.tags) == len(log.gates)
+    assert log.cz_count == sum(1 for gate in log.gates if gate.kind is sv.GateKind.CZ)
 
 
 def test_build_logical_cluster_rejects_odd():

@@ -10,12 +10,13 @@ from gselc import graph as gr
 from gselc.errors import (
     GraphFormatError,
     NotAnEdgeError,
-    NotAPartitionError,
     SelfLoopError,
     TooSmallError,
     VertexRangeError,
 )
 from gselc.graph import all_graphs, random_graph
+
+from conftest import complete_bipartite
 
 
 def test_new_empty():
@@ -38,7 +39,6 @@ def test_mask_vertices_lists_set_bits_in_order():
     for mask in [0, 1, 6, 1 << 200, (1 << 64) - 1] + [int(rng.integers(1 << 62)) for _ in range(50)]:
         expected = tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
         assert gr.mask_vertices(mask) == expected
-        assert gr.vertex_mask(expected) == mask
 
 
 def test_empty_plus_toggles_is_path():
@@ -194,7 +194,7 @@ def test_joined_stars_elc_is_complete_bipartite():
     two = gr.toggle_edge(gr.disjoint_union(gr.star(4), gr.star(4)), 0, 5)
     k = gr.edge_local_complement(two, 0, 5)
     assert k.edge_count == 25
-    assert gr.is_complete_bipartite(k, gr.vertex_mask(range(5)), gr.vertex_mask(range(5, 10)))
+    assert k == complete_bipartite(5, 5)
 
 
 def test_random_graph_draws_one_bit_per_pair_in_row_major_order():
@@ -272,16 +272,6 @@ def test_disjoint_union():
     c = gr.disjoint_union(gr.cycle(5), gr.cycle(5))
     assert c.n == 10 and c.edge_count == 10
     assert not any(c.has_edge(i, j) for i in range(5) for j in range(5, 10))
-
-
-def test_is_complete_bipartite_edge_cases():
-    single = gr.from_edges(2, [(0, 1)])
-    assert gr.is_complete_bipartite(single, 0b01, 0b10)
-    assert not gr.is_complete_bipartite(gr.new_empty(2), 0b01, 0b10)
-    with pytest.raises(NotAPartitionError):
-        gr.is_complete_bipartite(single, 0b01, 0b11)
-    with pytest.raises(NotAPartitionError):
-        gr.is_complete_bipartite(single, 0b01, 0b00)
 
 
 def test_self_loop_rejected_in_constructors():

@@ -44,7 +44,7 @@ def test_gate_kernels_match_reference(n):
         assert np.array_equal(got.amps, reference_run(state.amps, n, gates))
         one_by_one = state
         for gate in gates:
-            one_by_one = sv.apply_gate(one_by_one, gate)
+            one_by_one = sv.apply_gates(one_by_one, [gate])
         assert np.array_equal(one_by_one.amps, got.amps)
 
 
@@ -56,7 +56,7 @@ def test_cz_every_pair_matches_reference():
         for b in range(n):
             if a != b:
                 gate = sv.Gate.cz(a, b)
-                got = sv.apply_gate(state, gate).amps
+                got = sv.apply_gates(state, [gate]).amps
                 assert np.array_equal(got, reference_run(state.amps, n, [gate]))
 
 
@@ -190,5 +190,5 @@ def test_mixed_circuits_promote_and_match_reference(n):
                 # gate by gate, the state is promoted at the complex gate
                 one_by_one = state
                 for gate in mixed:
-                    one_by_one = sv.apply_gate(one_by_one, gate)
+                    one_by_one = sv.apply_gates(one_by_one, [gate])
                 assert np.array_equal(one_by_one.amps, want)

@@ -59,7 +59,7 @@ def test_gate_arity_validation():
     with pytest.raises(BadArityError):
         sv.Gate.cz(2, 2)
     with pytest.raises(VertexRangeError):
-        sv.apply_gate(sv.plus_state(2), sv.Gate.h(2))
+        sv.apply_gates(sv.plus_state(2), [sv.Gate.h(2)])
 
 
 def test_gate_matrix_identities():
@@ -77,14 +77,15 @@ def test_cz_involution_on_state():
     rng = np.random.default_rng(41)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     state = state_of(amps / np.linalg.norm(amps))
-    twice = sv.apply_gate(sv.apply_gate(state, sv.Gate.cz(0, 2)), sv.Gate.cz(0, 2))
+    twice = sv.apply_gates(sv.apply_gates(state, [sv.Gate.cz(0, 2)]), [sv.Gate.cz(0, 2)])
     assert np.max(np.abs(twice.amps - state.amps)) <= 1e-12
 
 
 def test_h_and_sqrt_on_basis_states():
     zero = state_of(ZERO)
-    assert np.allclose(sv.apply_gate(zero, sv.Gate.h(0)).amps, PLUS)
-    twice = sv.apply_gate(sv.apply_gate(zero, sv.Gate.sqrt_minus_ix(0)), sv.Gate.sqrt_minus_ix(0))
+    assert np.allclose(sv.apply_gates(zero, [sv.Gate.h(0)]).amps, PLUS)
+    once = sv.apply_gates(zero, [sv.Gate.sqrt_minus_ix(0)])
+    twice = sv.apply_gates(once, [sv.Gate.sqrt_minus_ix(0)])
     assert np.max(np.abs(twice.amps - (-1j) * ONE)) <= 1e-12
 
 
@@ -98,7 +99,7 @@ def test_norm_preserved_over_random_circuit():
             gate = sv.Gate.cz(int(a), int(b))
         else:
             gate = sv.Gate(single[int(rng.integers(0, len(single)))], (int(rng.integers(0, 4)),))
-        state = sv.apply_gate(state, gate)
+        state = sv.apply_gates(state, [gate])
         assert abs(np.vdot(state.amps, state.amps).real - 1.0) <= 1e-9
 
 
@@ -195,14 +196,23 @@ def test_stabilizers_fix_graph_states():
 def test_stabilizer_negative_control():
     # X alone, without the neighbor Z dressing, must not fix the state
     base = sv.graph_state(gr.path(5))
-    got = sv.apply_gate(base, sv.Gate.x(1))
+    got = sv.apply_gates(base, [sv.Gate.x(1)])
     assert not sv.equal_exact(got, base, 1e-9)
 
 
 def test_ghz_amplitude_check():
+    # the star state with hub 0 is (|0>|+>^L + |1>|->^L) / sqrt(2), and H on
+    # the hub turns it into the GHZ form (|+>^n + |->^n) / sqrt(2)
     for leaves in (1, 2, 4):
-        rep = sv.ghz_amplitude_check(leaves)
-        assert rep.passed, rep.details
+        star = sv.graph_state(gr.star(leaves))
+        expected_star = (
+            kron_state(ZERO, *[PLUS] * leaves) + kron_state(ONE, *[MINUS] * leaves)
+        ) / np.sqrt(2)
+        assert np.max(np.abs(star.amps - expected_star)) <= 1e-12
+        ghz = sv.apply_gates(star, [sv.Gate.h(0)])
+        n = leaves + 1
+        expected_ghz = (kron_state(*[PLUS] * n) + kron_state(*[MINUS] * n)) / np.sqrt(2)
+        assert np.max(np.abs(ghz.amps - expected_ghz)) <= 1e-12
 
 
 def test_star1_graph_state_amplitudes():
@@ -245,7 +255,7 @@ def test_state_vector_copies_its_input_as_complex128():
     assert state.amps.tolist() == [1, 0]
     assert not state.amps.flags.writeable
     # a complex gate on a state built from a real array keeps its imaginary parts
-    out = sv.apply_gate(state, sv.Gate.sqrt_iz(0))
+    out = sv.apply_gates(state, [sv.Gate.sqrt_iz(0)])
     assert out.amps[0] == pytest.approx((1 + 1j) / np.sqrt(2))
 
 
@@ -259,8 +269,8 @@ def test_fresh_buffers_are_not_copied_again():
         "plus_state": lambda: sv.plus_state(n),
         "graph_state": lambda: sv.graph_state(gr.cycle(n)),
         "apply_gates, CZ run": lambda: sv.apply_gates(base, [sv.Gate.cz(0, 5), sv.Gate.cz(2, 9)]),
-        "apply_gates, one H": lambda: sv.apply_gate(base, sv.Gate.h(3)),
-        "apply_gates, one sqrt(iZ)": lambda: sv.apply_gate(base, sv.Gate.sqrt_iz(3)),
+        "apply_gates, one H": lambda: sv.apply_gates(base, [sv.Gate.h(3)]),
+        "apply_gates, one sqrt(iZ)": lambda: sv.apply_gates(base, [sv.Gate.sqrt_iz(3)]),
     }
     # the copy plus two scratch halves
     limits = {"apply_gates, one H": 2.3, "apply_gates, one sqrt(iZ)": 2.3}
@@ -298,13 +308,14 @@ def test_complex_gate_lists_return_complex128():
             out = sv.apply_gates(start, [sv.Gate.h(0), sv.Gate(kind, (1,)), sv.Gate.cz(0, 2)])
             assert out.amps.dtype == np.complex128
     # a complex128 input stays complex128 under real gates
-    assert sv.apply_gate(state_of(sv.plus_state(2).amps), sv.Gate.h(0)).amps.dtype == np.complex128
+    out = sv.apply_gates(state_of(sv.plus_state(2).amps), [sv.Gate.h(0)])
+    assert out.amps.dtype == np.complex128
 
 
 def test_graph_state_then_sqrt_iz_keeps_imaginary_parts():
     g = gr.star(3)
     base = sv.graph_state(g)
-    out = sv.apply_gate(base, sv.Gate.sqrt_iz(2))
+    out = sv.apply_gates(base, [sv.Gate.sqrt_iz(2)])
     bit = (np.arange(1 << g.n) >> 2) & 1
     expected = base.amps * np.where(bit, 1j - 1, 1j + 1) / np.sqrt(2.0)
     assert np.max(np.abs(out.amps - expected)) <= 1e-15
