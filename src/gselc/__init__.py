@@ -42,12 +42,10 @@ from .statevector import (
 )
 from .encoding import (
     CircuitLog,
-    LogicalRegister,
-    build_cs2_direct,
-    build_cs2_elc,
+    build_direct,
+    build_elc,
     build_logical_cluster,
     verify_chain_elc_steps,
-    verify_cs2_equivalence,
 )
 
 __version__ = "0.1.0"

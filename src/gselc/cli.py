@@ -32,15 +32,13 @@ def _max_qubits(args: argparse.Namespace) -> int:
 
     Also checks --tol, so a bad limit of either kind exits 2 before any work.
     """
-    cap = sv.DEFAULT_MAX_QUBITS
-    env = os.environ.get(ENV_MAX_QUBITS)
-    if env is not None:
+    cap = args.max_qubits
+    if cap is None:  # the flag wins, and then the environment is not read
+        env = os.environ.get(ENV_MAX_QUBITS)
         try:
-            cap = int(env)
+            cap = sv.DEFAULT_MAX_QUBITS if env is None else int(env)
         except ValueError as exc:
             raise GselcError(f"{ENV_MAX_QUBITS} must be an integer, got {env!r}") from exc
-    if args.max_qubits is not None:
-        cap = args.max_qubits  # flag wins over env
     if cap < 1:
         raise GselcError(f"max qubits must be at least 1, got {cap}")
     if not 0 < args.tol < math.inf:  # also false for nan
@@ -128,8 +126,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _suite_theorem1(args: argparse.Namespace, trials: int | None) -> Report:
-    trials = 200 if trials is None else trials
+def _suite_theorem1(args: argparse.Namespace, trials: int) -> Report:
     rng = np.random.default_rng(args.seed)
     failures = []
     worst = 0.0
@@ -183,8 +180,7 @@ def _suite_vertex_lc(args: argparse.Namespace, _trials: int | None) -> Report:
     )
 
 
-def _suite_stabilizers(args: argparse.Namespace, trials: int | None) -> Report:
-    trials = 50 if trials is None else trials
+def _suite_stabilizers(args: argparse.Namespace, trials: int) -> Report:
     rng = np.random.default_rng(args.seed)
     failures = []
     for t in range(trials):
@@ -206,21 +202,21 @@ def _suite_stabilizers(args: argparse.Namespace, trials: int | None) -> Report:
 
 
 def _suite_cs2(args: argparse.Namespace, _trials: int | None) -> Report:
-    rep = encoding.verify_cs2_equivalence(args.tol, args.max_qubits)
-    counts_ok = (
-        rep.details["direct"]["cz_count"] == 35
-        and rep.details["logical_cz_count"] == 25
-        and rep.details["elc"]["cz_count"] == 19
-        and rep.details["elc"]["hadamard_count"] == 2
+    rep, direct_log, elc_log = encoding.build_logical_cluster(2, args.tol, args.max_qubits)
+    details = dict(
+        rep.details,
+        suite="cs2",
+        logical_cz_count=direct_log.count_cz("logical_cz"),
+        cz_saving=direct_log.count_cz() - elc_log.count_cz(),
+        counts_ok=encoding.counts_match(2, direct_log, elc_log),
     )
-    details = dict(rep.details)
-    details.update({"suite": "cs2", "counts_ok": counts_ok})
-    return Report(passed=rep.passed and counts_ok, details=details)
+    del details["n_qubits"]
+    return Report(passed=rep.passed, details=details)
 
 
 def _suite_chain(args: argparse.Namespace, n_logical: int) -> Report:
     steps = encoding.verify_chain_elc_steps(n_logical, args.tol, args.max_qubits)
-    _, _, build = encoding.build_logical_cluster(n_logical, args.tol, args.max_qubits)
+    build, _, _ = encoding.build_logical_cluster(n_logical, args.tol, args.max_qubits)
     return Report(
         passed=steps.passed and build.passed,
         details={
@@ -231,9 +227,8 @@ def _suite_chain(args: argparse.Namespace, n_logical: int) -> Report:
     )
 
 
-# Each suite takes the parsed arguments, with the qubit cap resolved, and one
-# parameter: N for chain:N, otherwise --trials (None when not given; the
-# randomized suites pick their default).
+# Each suite takes the parsed arguments, with the qubit cap and seed resolved,
+# and one parameter: N for chain:N, otherwise --trials or its default.
 SUITES = {
     "theorem1": _suite_theorem1,
     "vertex-lc": _suite_vertex_lc,
@@ -241,6 +236,9 @@ SUITES = {
     "cs2": _suite_cs2,
     "chain": _suite_chain,
 }
+# default --trials of the suites that draw random cases, the only ones that
+# read --trials and --seed
+DEFAULT_TRIALS = {"theorem1": 200, "stabilizers": 50}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -253,7 +251,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise GselcError(
             f"unknown suite {suite!r}; expected theorem1, vertex-lc, stabilizers, cs2, chain:N"
         )
-    param = args.trials
+    if name not in DEFAULT_TRIALS and (args.trials, args.seed) != (None, None):
+        raise GselcError(f"--trials and --seed apply only to theorem1 and stabilizers, not {suite}")
+    args.seed = 0 if args.seed is None else args.seed
+    param = DEFAULT_TRIALS.get(name) if args.trials is None else args.trials
     if sep:
         try:
             param = int(arg)
@@ -264,12 +265,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if report.passed else "FAIL"
         _emit(f"{status} {suite}\n", args.out)
     else:
-        _emit(report.to_json() + "\n", args.out)
+        _emit(_dump_json({"passed": report.passed, "details": report.details}), args.out)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    _, _, rep = encoding.build_logical_cluster(args.n_logical, args.tol, _max_qubits(args))
+    rep, _, _ = encoding.build_logical_cluster(args.n_logical, args.tol, _max_qubits(args))
     wanted = ("direct", "elc") if args.method == "both" else (args.method,)
     doc = {
         "n_logical": args.n_logical,
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", help="theorem1 | vertex-lc | stabilizers | cs2 | chain:N")
     p_verify.add_argument("--trials", type=int, default=None, help="randomized-suite trial count")
-    p_verify.add_argument("--seed", type=int, default=0, help="PRNG seed for randomized suites (default 0)")
+    p_verify.add_argument("--seed", type=int, default=None, help="PRNG seed for randomized suites (default 0)")
     limits(p_verify)
     output(p_verify, formats=("json", "text"))
     p_verify.set_defaults(func=cmd_verify)

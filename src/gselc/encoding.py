@@ -14,10 +14,8 @@ exact states those same gates produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import graph as gr
-from .errors import OddChainError, VertexRangeError
+from .errors import OddChainError
 from .report import Report
 from .statevector import (
     DEFAULT_MAX_QUBITS,
@@ -32,42 +30,24 @@ from .statevector import (
 
 __all__ = [
     "IDENTITY_H",
-    "LogicalRegister",
+    "block",
     "CircuitLog",
     "record_ghz",
     "record_pentagon",
     "record_logical_cz",
-    "build_cs2_direct",
-    "build_cs2_elc",
-    "verify_cs2_equivalence",
+    "build_direct",
+    "build_elc",
+    "counts_match",
     "verify_chain_elc_steps",
     "build_logical_cluster",
-    "construction_summary",
 ]
 
 BLOCK_SIZE = 5
 
 
-@dataclass(frozen=True)
-class LogicalRegister:
-    """One code block: the core qubit plus its four ancillae."""
-
-    core: int
-    ancillae: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if len({self.core, *self.ancillae}) != BLOCK_SIZE:
-            raise VertexRangeError(f"register indices must be distinct: {self}")
-
-    @classmethod
-    def block(cls, j: int) -> LogicalRegister:
-        """Register j in the standard layout: indices [5j, 5j+4], core first."""
-        base = BLOCK_SIZE * j
-        return cls(base, (base + 1, base + 2, base + 3, base + 4))
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.core, *self.ancillae)
+def block(j: int) -> range:
+    """The qubits of logical block j: 5j to 5j+4, core first."""
+    return range(BLOCK_SIZE * j, BLOCK_SIZE * (j + 1))
 
 
 # Tag of a Hadamard recorded at a position where the pair provably acts as identity
@@ -93,10 +73,6 @@ class CircuitLog:
         )
 
     @property
-    def cz_count(self) -> int:
-        return self.count_cz()
-
-    @property
     def hadamard_count(self) -> int:
         """Effective Hadamards; identity-position pairs are excluded."""
         return sum(
@@ -106,62 +82,63 @@ class CircuitLog:
         )
 
 
-def record_ghz(log: CircuitLog, reg: LogicalRegister) -> None:
-    """Classical (repetition) encoding of a block: H, core-to-ancilla CZs, H.
+def _record_fan_out(log: CircuitLog, j: int) -> None:
+    """The four core-to-ancilla CZs of block j, shared by the GHZ encoder and ``build_elc``."""
+    core, *ancillae = block(j)
+    for anc in ancillae:
+        log.append(Gate.cz(core, anc), tag="ghz")
 
-    On a core in |0> with ancillae in |+>^4 this produces the five-qubit GHZ
-    state.
+
+def record_ghz(log: CircuitLog, j: int) -> None:
+    """Classical (repetition) encoding of block j: H, core-to-ancilla CZs, H.
+
+    On a core in |0> with ancillae in |+>^4 this gives the five-qubit GHZ state.
     """
-    log.append(Gate.h(reg.core))
-    for anc in reg.ancillae:
-        log.append(Gate.cz(reg.core, anc), tag="ghz")
-    log.append(Gate.h(reg.core))
+    core = block(j)[0]
+    log.append(Gate.h(core))
+    _record_fan_out(log, j)
+    log.append(Gate.h(core))
 
 
-def record_pentagon(log: CircuitLog, reg: LogicalRegister) -> None:
-    """The five-CZ cycle over the block, the quantum half of the encoding."""
-    q = reg.qubits
+def record_pentagon(log: CircuitLog, j: int) -> None:
+    """The five-CZ cycle over block j, the quantum half of the encoding."""
+    q = block(j)
     for i in range(BLOCK_SIZE):
         log.append(Gate.cz(q[i], q[(i + 1) % BLOCK_SIZE]), tag="pentagon")
 
 
-def record_logical_cz(log: CircuitLog, reg_a: LogicalRegister, reg_b: LogicalRegister) -> None:
-    """Logical CZ between two encoded blocks: all 25 inter-block physical CZs.
+def record_logical_cz(log: CircuitLog, a: int, b: int) -> None:
+    """Logical CZ between encoded blocks a and b: all 25 inter-block physical CZs.
 
     This is the unique pattern consistent with conjugating the single
     core-core CZ by both block encoders, so the direct and shortcut builds
     target the same operator.
     """
-    for qa in reg_a.qubits:
-        for qb in reg_b.qubits:
+    for qa in block(a):
+        for qb in block(b):
             log.append(Gate.cz(qa, qb), tag="logical_cz")
 
 
 def _check_chain_length(n_logical: int) -> None:
     if n_logical < 2 or n_logical % 2:
-        raise OddChainError(
-            f"logical chains must have an even length of at least 2, got {n_logical}"
-        )
+        raise OddChainError(f"logical chains must have an even length of at least 2, got {n_logical}")
 
 
-def _build_direct(
-    n_logical: int, max_qubits: int
-) -> tuple[StateVector, CircuitLog]:
+def build_direct(n_logical: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[StateVector, CircuitLog]:
     """Reference build: encode every block, then one logical CZ per chain edge.
 
     On the all-plus input the GHZ fan-out stage acts as identity, so only the
     pentagons and the 25-CZ logical gates are applied (and counted).
     """
-    regs = [LogicalRegister.block(j) for j in range(n_logical)]
     log = CircuitLog()
-    for reg in regs:
-        record_pentagon(log, reg)
+    for j in range(n_logical):
+        record_pentagon(log, j)
     for j in range(n_logical - 1):
-        record_logical_cz(log, regs[j], regs[j + 1])
+        record_logical_cz(log, j, j + 1)
     return apply_gates(plus_state(BLOCK_SIZE * n_logical, max_qubits), log.gates), log
 
 
-def _build_elc(n_logical: int, max_qubits: int) -> tuple[StateVector, CircuitLog]:
+def build_elc(n_logical: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[StateVector, CircuitLog]:
     """Shortcut build: physical core chain first, then the block encoders.
 
     Gate order per the encoders: first Hadamard set on the cores, GHZ-type
@@ -169,52 +146,20 @@ def _build_elc(n_logical: int, max_qubits: int) -> tuple[StateVector, CircuitLog
     leaves the seeded two-qubit cluster state invariant and is tagged
     ``IDENTITY_H``; longer chains permute the core graph with it.
     """
-    regs = [LogicalRegister.block(j) for j in range(n_logical)]
+    cores = [block(j)[0] for j in range(n_logical)]
     log = CircuitLog()
-    for j in range(n_logical - 1):
-        log.append(Gate.cz(regs[j].core, regs[j + 1].core), tag="core")
+    for a, b in zip(cores, cores[1:]):
+        log.append(Gate.cz(a, b), tag="core")
     first_h_tag = IDENTITY_H if n_logical == 2 else None
-    for reg in regs:
-        log.append(Gate.h(reg.core), tag=first_h_tag)
-    for reg in regs:
-        for anc in reg.ancillae:
-            log.append(Gate.cz(reg.core, anc), tag="ghz")
-    for reg in regs:
-        log.append(Gate.h(reg.core))
-    for reg in regs:
-        record_pentagon(log, reg)
+    for core in cores:
+        log.append(Gate.h(core), tag=first_h_tag)
+    for j in range(n_logical):
+        _record_fan_out(log, j)
+    for core in cores:
+        log.append(Gate.h(core))
+    for j in range(n_logical):
+        record_pentagon(log, j)
     return apply_gates(plus_state(BLOCK_SIZE * n_logical, max_qubits), log.gates), log
-
-
-def build_cs2_direct(max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[StateVector, CircuitLog]:
-    """Two-block logical cluster state the expensive way (35 CZs)."""
-    return _build_direct(2, max_qubits)
-
-
-def build_cs2_elc(max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[StateVector, CircuitLog]:
-    """Two-block logical cluster state via one seed CZ and Hadamards (19 CZs)."""
-    return _build_elc(2, max_qubits)
-
-
-def verify_cs2_equivalence(
-    tol: float = 1e-9, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> Report:
-    """Direct and shortcut two-block builds must agree amplitude for amplitude."""
-    direct_sv, direct_log = build_cs2_direct(max_qubits)
-    elc_sv, elc_log = build_cs2_elc(max_qubits)
-    diff = amp_distance(direct_sv, elc_sv)
-    return Report(
-        passed=diff <= tol,
-        details={
-            "n_logical": 2,
-            "direct": construction_summary("direct", 2, direct_log, diff <= tol, diff),
-            "elc": construction_summary("elc", 2, elc_log, diff <= tol, diff),
-            "logical_cz_count": direct_log.count_cz("logical_cz"),
-            "cz_saving": direct_log.cz_count - elc_log.cz_count,
-            "max_amp_diff": diff,
-            "tol": tol,
-        },
-    )
 
 
 def verify_chain_elc_steps(
@@ -249,48 +194,43 @@ def verify_chain_elc_steps(
     )
 
 
+def counts_match(n_logical: int, direct_log: CircuitLog, elc_log: CircuitLog) -> bool:
+    """The two logs of an N-block chain hold their closed-form gate counts.
+
+    Direct build: 5N + 25(N-1) CZs, 25(N-1) of them logical. Shortcut build:
+    10N - 1 CZs and 2N Hadamards, less the two ``IDENTITY_H`` ones at N = 2.
+    At N = 2 that is the paper's 35/25/19/2.
+    """
+    n_edges = n_logical - 1
+    return (
+        direct_log.count_cz() == 5 * n_logical + 25 * n_edges
+        and direct_log.count_cz("logical_cz") == 25 * n_edges
+        and elc_log.count_cz() == 10 * n_logical - 1
+        and elc_log.hadamard_count == 2 * n_logical - 2 * (n_logical == 2)
+    )
+
+
 def build_logical_cluster(
     n_logical: int, tol: float = 1e-9, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> tuple[StateVector, CircuitLog, Report]:
-    """Full even-length logical cluster state, shortcut build, checked against direct.
+) -> tuple[Report, CircuitLog, CircuitLog]:
+    """Even-length logical cluster state built both ways: (report, direct log, elc log).
 
-    Returns the shortcut state and log plus a report comparing it to the
-    reference construction (encode all blocks, then 25-CZ logical gates) at
-    ``tol``.
+    The report passes when the shortcut state equals the direct one within
+    ``tol`` and both logs pass ``counts_match``.
     """
     _check_chain_length(n_logical)
-    elc_sv, elc_log = _build_elc(n_logical, max_qubits)
-    direct_sv, direct_log = _build_direct(n_logical, max_qubits)
+    elc_sv, elc_log = build_elc(n_logical, max_qubits)
+    direct_sv, direct_log = build_direct(n_logical, max_qubits)
     diff = amp_distance(direct_sv, elc_sv)
-    report = Report(
-        passed=diff <= tol,
-        details={
+    details = {"n_logical": n_logical, "n_qubits": BLOCK_SIZE * n_logical, "max_amp_diff": diff, "tol": tol}
+    for name, log in (("direct", direct_log), ("elc", elc_log)):
+        details[name] = {
+            "construction": name,
             "n_logical": n_logical,
-            "n_qubits": BLOCK_SIZE * n_logical,
-            "direct": construction_summary(
-                "direct", n_logical, direct_log, diff <= tol, diff
-            ),
-            "elc": construction_summary("elc", n_logical, elc_log, diff <= tol, diff),
+            "cz_count": log.count_cz(),
+            "hadamard_count": log.hadamard_count,
+            "equal_to_reference": diff <= tol,
             "max_amp_diff": diff,
-            "tol": tol,
-        },
-    )
-    return elc_sv, elc_log, report
-
-
-def construction_summary(
-    construction: str,
-    n_logical: int,
-    log: CircuitLog,
-    equal_to_reference: bool,
-    max_amp_diff: float,
-) -> dict:
-    """The CLI-facing per-construction record."""
-    return {
-        "construction": construction,
-        "n_logical": n_logical,
-        "cz_count": log.cz_count,
-        "hadamard_count": log.hadamard_count,
-        "equal_to_reference": bool(equal_to_reference),
-        "max_amp_diff": float(max_amp_diff),
-    }
+        }
+    passed = diff <= tol and counts_match(n_logical, direct_log, elc_log)
+    return Report(passed, details), direct_log, elc_log

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -17,10 +16,3 @@ class Report:
 
     passed: bool
     details: dict = field(default_factory=dict)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(
-            {"passed": self.passed, "details": self.details},
-            indent=indent,
-            sort_keys=True,
-        )

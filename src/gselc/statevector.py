@@ -378,7 +378,8 @@ def scan_theorem1_shared_neighbors(
 
     The main identity is only claimed for disjoint neighborhoods. Here random
     graphs with a shared-neighbor edge are checked and the equality status is
-    recorded, never asserted; ``passed`` just means the scan ran.
+    recorded, never asserted; ``passed`` means the scan found as many such
+    cases as were asked for, and at least one.
     """
     rng = np.random.default_rng(seed)
     checked = 0
@@ -413,7 +414,7 @@ def scan_theorem1_shared_neighbors(
                 "edge": [a, b],
             }
     return Report(
-        passed=True,
+        passed=0 < checked == trials,
         details={
             "seed": seed,
             "cases_checked": checked,

@@ -82,26 +82,26 @@ def test_c03_complete_bipartite_claim():
 
 
 def test_c04_gate_counts():
-    _, direct_log = enc.build_cs2_direct()
-    _, elc_log = enc.build_cs2_elc()
+    rep, direct_log, elc_log = enc.build_logical_cluster(2)
     ok = (
-        direct_log.cz_count == 35
+        rep.passed
+        and direct_log.count_cz() == 35
         and direct_log.count_cz("logical_cz") == 25
-        and elc_log.cz_count == 19
+        and elc_log.count_cz() == 19
         and elc_log.hadamard_count == 2
     )
     assert _criterion(
         "04 gate counts",
         ok,
-        f"direct {direct_log.cz_count}/{direct_log.count_cz('logical_cz')}, "
-        f"elc {elc_log.cz_count} cz + {elc_log.hadamard_count} H",
+        f"direct {direct_log.count_cz()}/{direct_log.count_cz('logical_cz')}, "
+        f"elc {elc_log.count_cz()} cz + {elc_log.hadamard_count} H",
     )
 
 
 def test_c05_cs2_construction_identity():
     t0 = time.perf_counter()
-    direct, _ = enc.build_cs2_direct()
-    shortcut, _ = enc.build_cs2_elc()
+    direct, _ = enc.build_direct(2)
+    shortcut, _ = enc.build_elc(2)
     diff = sv.amp_distance(direct, shortcut)
     elapsed = time.perf_counter() - t0
     ok = direct.amps.size == 1024 and diff <= 1e-9 and elapsed < 1.0
@@ -112,7 +112,7 @@ def test_c06_ghz_encode():
     core_zero = kron_state(ZERO, PLUS, PLUS, PLUS, PLUS)
     state = sv.StateVector(5, core_zero)
     log = enc.CircuitLog()
-    enc.record_ghz(log, enc.LogicalRegister.block(0))
+    enc.record_ghz(log, 0)
     out = sv.apply_gates(state, log.gates)
     expected = (kron_state(*([PLUS] * 5)) + kron_state(*([MINUS] * 5))) / np.sqrt(2)
     diff = float(np.max(np.abs(out.amps - expected)))
@@ -121,7 +121,7 @@ def test_c06_ghz_encode():
 
 
 def test_c07_pre_pentagon_intermediate():
-    _, log = enc.build_cs2_elc()
+    _, log = enc.build_elc(2)
     prefix = [gate for gate, tag in zip(log.gates, log.tags) if tag != "pentagon"]
     mid = sv.apply_gates(sv.plus_state(10), prefix)
     plus5 = kron_state(*([PLUS] * 5))
@@ -145,12 +145,12 @@ def test_c08_chain_steps():
 
 def test_c09_four_block_logical_cluster():
     t0 = time.perf_counter()
-    state, log, rep = enc.build_logical_cluster(4)
+    rep, _, _ = enc.build_logical_cluster(4)
     elapsed = time.perf_counter() - t0
     diff = rep.details["max_amp_diff"]
     ok = (
         rep.passed
-        and state.amps.size == 1 << 20
+        and rep.details["n_qubits"] == 20
         and diff <= 1e-9
         and elapsed < 60.0
     )

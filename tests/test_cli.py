@@ -203,6 +203,8 @@ def test_max_qubits_env_and_flag(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_MAX_QUBITS, "please")
     code, _, err = run_cli(capsys, "verify", "cs2")
     assert code == 2 and "integer" in err
+    code, _, err = run_cli(capsys, "verify", "cs2", "--max-qubits", "10")
+    assert code == 0 and err == ""  # with the flag given the env is not read
 
 
 def test_bad_tolerance(capsys):
@@ -304,6 +306,43 @@ def test_stdout_matches_golden(capsys, argv, name):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cs2", "--trials", "5", "--seed", "9"],
+        ["cs2", "--seed", "0"],
+        ["vertex-lc", "--trials", "3"],
+        ["chain:2", "--trials", "3"],
+        ["chain:4", "--seed", "1"],
+    ],
+)
+def test_unrandomized_suites_reject_trials_and_seed(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --trials and --seed") and err.count("\n") == 1
+
+
+def test_extra_cancelling_cz_pair_fails_the_count_check(capsys, monkeypatch):
+    # the pair leaves every state as it was, so only the closed-form counts can see it
+    record = cli.encoding.record_logical_cz
+
+    def padded(log, a, b):
+        record(log, a, b)
+        for _ in range(2):
+            log.append(cli.sv.Gate.cz(5 * a, 5 * b), tag="logical_cz")
+
+    monkeypatch.setattr(cli.encoding, "record_logical_cz", padded)
+    code, out, _ = run_cli(capsys, "verify", "chain:4")
+    assert code == 1
+    build = json.loads(out)["details"]["logical_build"]
+    assert build["direct"]["equal_to_reference"] and build["direct"]["cz_count"] == 101
+    code, out, _ = run_cli(capsys, "encode", "--n-logical", "4")
+    assert code == 1
+    assert all(c["equal_to_reference"] for c in json.loads(out)["constructions"])
+    code, out, _ = run_cli(capsys, "verify", "cs2")
+    assert code == 1 and json.loads(out)["details"]["counts_ok"] is False
+
+
 @pytest.mark.parametrize("suite, trials", [("theorem1", "-5"), ("stabilizers", "0")])
 def test_verify_rejects_trials_below_one(capsys, suite, trials):
     code, out, err = run_cli(capsys, "verify", suite, "--trials", trials)
@@ -323,7 +362,7 @@ def test_library_errors_exit_2_without_traceback(capsys, monkeypatch, exc, messa
     def fail(*args):
         raise exc
 
-    monkeypatch.setattr(cli.encoding, "verify_cs2_equivalence", fail)
+    monkeypatch.setattr(cli.encoding, "build_logical_cluster", fail)
     code, out, err = run_cli(capsys, "verify", "cs2")
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"

@@ -8,7 +8,7 @@ import pytest
 from gselc import encoding as enc
 from gselc import graph as gr
 from gselc import statevector as sv
-from gselc.errors import OddChainError, VertexRangeError
+from gselc.errors import OddChainError
 
 from conftest import MINUS, ONE, PLUS, ZERO, complete_bipartite, kron_state
 
@@ -31,52 +31,50 @@ def minus_pow(n):
     return kron_state(*([MINUS] * n))
 
 
-REG0 = enc.LogicalRegister.block(0)
-
-
-def record_encoder(log, reg):
+def record_encoder(log, j):
     """Full block encoder: GHZ fan-out then pentagon (9 CZ, 2 H per block)."""
-    enc.record_ghz(log, reg)
-    enc.record_pentagon(log, reg)
+    enc.record_ghz(log, j)
+    enc.record_pentagon(log, j)
 
 
-def run_recorded(state, record, *regs):
-    """Record ``record``'s gates for each register in a fresh log, then run them."""
+def run_recorded(state, record, *blocks):
+    """Record ``record``'s gates for each block index in a fresh log, then run them."""
     log = enc.CircuitLog()
-    for reg in regs:
-        record(log, reg)
+    for j in blocks:
+        record(log, j)
     return sv.apply_gates(state, log.gates), log
 
 
 def test_register_layout():
-    reg = enc.LogicalRegister.block(2)
-    assert reg.core == 10 and reg.ancillae == (11, 12, 13, 14)
-    assert reg.qubits == (10, 11, 12, 13, 14)
-    with pytest.raises(VertexRangeError):
-        enc.LogicalRegister(3, (3, 4, 5, 6))
+    assert tuple(enc.block(0)) == (0, 1, 2, 3, 4)
+    assert tuple(enc.block(2)) == (10, 11, 12, 13, 14)
+    # the core comes first: the GHZ encoder's Hadamards and fan-out start there
+    log = enc.CircuitLog()
+    enc.record_ghz(log, 2)
+    assert [g.targets for g in log.gates] == [(10,), (10, 11), (10, 12), (10, 13), (10, 14), (10,)]
 
 
 def test_ghz_encode_on_zero():
-    out, log = run_recorded(state_of(block5(ZERO)), enc.record_ghz, REG0)
+    out, log = run_recorded(state_of(block5(ZERO)), enc.record_ghz, 0)
     expected = (plus_pow(5) + minus_pow(5)) / np.sqrt(2)
     assert np.max(np.abs(out.amps - expected)) <= 1e-12
-    assert log.cz_count == 4 and log.hadamard_count == 2
+    assert log.count_cz() == 4 and log.hadamard_count == 2
 
 
 def test_ghz_encode_on_one():
-    out, _ = run_recorded(state_of(block5(ONE)), enc.record_ghz, REG0)
+    out, _ = run_recorded(state_of(block5(ONE)), enc.record_ghz, 0)
     expected = (plus_pow(5) - minus_pow(5)) / np.sqrt(2)
     assert np.max(np.abs(out.amps - expected)) <= 1e-12
 
 
 def test_pentagon_on_plus_gives_cycle_state():
-    out, log = run_recorded(sv.plus_state(5), enc.record_pentagon, REG0)
+    out, log = run_recorded(sv.plus_state(5), enc.record_pentagon, 0)
     assert sv.equal_exact(out, sv.graph_state(gr.cycle(5)), 1e-12)
-    assert log.cz_count == 5
+    assert log.count_cz() == 5
 
 
 def test_pentagon_on_minus_gives_z_dressed_cycle_state():
-    out, _ = run_recorded(state_of(minus_pow(5)), enc.record_pentagon, REG0)
+    out, _ = run_recorded(state_of(minus_pow(5)), enc.record_pentagon, 0)
     dressed = sv.graph_state(gr.cycle(5))
     for q in range(5):
         dressed = sv.apply_gates(dressed, [sv.Gate.z(q)])
@@ -84,17 +82,17 @@ def test_pentagon_on_minus_gives_z_dressed_cycle_state():
 
 
 def test_pentagon_twice_is_identity():
-    twice, log = run_recorded(sv.plus_state(5), enc.record_pentagon, REG0, REG0)
+    twice, log = run_recorded(sv.plus_state(5), enc.record_pentagon, 0, 0)
     assert sv.equal_exact(twice, sv.plus_state(5), 1e-12)
-    assert log.cz_count == 10
+    assert log.count_cz() == 10
 
 
 def test_encode_logical_maps_plus_minus():
-    plus_l, log = run_recorded(state_of(block5(PLUS)), record_encoder, REG0)
-    assert log.cz_count == 9 and log.hadamard_count == 2
+    plus_l, log = run_recorded(state_of(block5(PLUS)), record_encoder, 0)
+    assert log.count_cz() == 9 and log.hadamard_count == 2
     assert sv.equal_exact(plus_l, sv.graph_state(gr.cycle(5)), 1e-12)
 
-    minus_l, _ = run_recorded(state_of(block5(MINUS)), record_encoder, REG0)
+    minus_l, _ = run_recorded(state_of(block5(MINUS)), record_encoder, 0)
     dressed = sv.graph_state(gr.cycle(5))
     for q in range(5):
         dressed = sv.apply_gates(dressed, [sv.Gate.z(q)])
@@ -104,8 +102,8 @@ def test_encode_logical_maps_plus_minus():
 
 
 def test_cs2_direct_counts():
-    state, log = enc.build_cs2_direct()
-    assert log.cz_count == 35
+    state, log = enc.build_direct(2)
+    assert log.count_cz() == 35
     assert log.count_cz("logical_cz") == 25
     assert log.hadamard_count == 0
     assert state.amps.size == 1024
@@ -113,20 +111,20 @@ def test_cs2_direct_counts():
 
 
 def test_cs2_elc_counts():
-    _, log = enc.build_cs2_elc()
-    assert log.cz_count == 19
+    _, log = enc.build_elc(2)
+    assert log.count_cz() == 19
     assert log.hadamard_count == 2
     assert log.tags.count(enc.IDENTITY_H) == 2
 
 
 def test_cs2_constructions_agree():
-    direct, _ = enc.build_cs2_direct()
-    shortcut, _ = enc.build_cs2_elc()
+    direct, _ = enc.build_direct(2)
+    shortcut, _ = enc.build_elc(2)
     assert sv.equal_exact(direct, shortcut, 1e-9)
 
 
 def test_cs2_elc_pre_pentagon_state():
-    _, log = enc.build_cs2_elc()
+    _, log = enc.build_elc(2)
     prefix = [gate for gate, tag in zip(log.gates, log.tags) if tag != "pentagon"]
     mid = sv.apply_gates(sv.plus_state(10), prefix)
 
@@ -150,9 +148,8 @@ def test_first_hadamard_pair_leaves_two_qubit_cluster_invariant():
 
 
 def test_encoders_act_as_pentagons_on_all_plus():
-    regs = [enc.LogicalRegister.block(j) for j in range(2)]
-    state, _ = run_recorded(sv.plus_state(10), record_encoder, *regs)
-    pent, _ = run_recorded(sv.plus_state(10), enc.record_pentagon, *regs)
+    state, _ = run_recorded(sv.plus_state(10), record_encoder, 0, 1)
+    pent, _ = run_recorded(sv.plus_state(10), enc.record_pentagon, 0, 1)
     assert sv.equal_exact(state, pent, 1e-12)
 
 
@@ -160,44 +157,64 @@ def test_logical_cz_identity_on_random_states():
     # conjugating the core-core CZ through both encoders gives the 25-CZ
     # inter-block pattern, as an operator identity
     rng = np.random.default_rng(59)
-    reg_a, reg_b = enc.LogicalRegister.block(0), enc.LogicalRegister.block(1)
     for _ in range(3):
         raw = rng.normal(size=1024) + 1j * rng.normal(size=1024)
         psi = state_of(raw / np.linalg.norm(raw))
 
-        lhs = sv.apply_gates(psi, [sv.Gate.cz(reg_a.core, reg_b.core)])
-        lhs, _ = run_recorded(lhs, record_encoder, reg_a, reg_b)
+        lhs = sv.apply_gates(psi, [sv.Gate.cz(enc.block(0)[0], enc.block(1)[0])])
+        lhs, _ = run_recorded(lhs, record_encoder, 0, 1)
 
-        rhs, _ = run_recorded(psi, record_encoder, reg_a, reg_b)
+        rhs, _ = run_recorded(psi, record_encoder, 0, 1)
         logical_cz = enc.CircuitLog()
-        enc.record_logical_cz(logical_cz, reg_a, reg_b)
+        enc.record_logical_cz(logical_cz, 0, 1)
         rhs = sv.apply_gates(rhs, logical_cz.gates)
 
         assert sv.equal_exact(lhs, rhs, 1e-9)
 
 
-def test_verify_cs2_equivalence_report():
-    rep = enc.verify_cs2_equivalence()
+def test_cs2_is_the_two_block_logical_build():
+    rep, direct_log, elc_log = enc.build_logical_cluster(2)
     assert rep.passed
-    assert rep.details["direct"]["cz_count"] == 35
-    assert rep.details["elc"]["cz_count"] == 19
-    assert rep.details["logical_cz_count"] == 25
-    assert rep.details["cz_saving"] == 16
-    assert rep.details["elc"]["hadamard_count"] == 2
+    assert rep.details["direct"]["cz_count"] == direct_log.count_cz() == 35
+    assert direct_log.count_cz("logical_cz") == 25
+    assert rep.details["elc"]["cz_count"] == elc_log.count_cz() == 19
+    assert rep.details["elc"]["hadamard_count"] == elc_log.hadamard_count == 2
+    assert direct_log.count_cz() - elc_log.count_cz() == 16
 
 
 def test_construction_summary_schema():
-    _, log = enc.build_cs2_elc()
-    doc = enc.construction_summary("elc", 2, log, True, 0.0)
-    assert set(doc) == {
-        "construction",
-        "n_logical",
-        "cz_count",
-        "hadamard_count",
-        "equal_to_reference",
-        "max_amp_diff",
-    }
-    assert doc["construction"] == "elc" and doc["cz_count"] == 19
+    rep, _, _ = enc.build_logical_cluster(2)
+    for name in ("direct", "elc"):
+        doc = rep.details[name]
+        assert set(doc) == {
+            "construction",
+            "n_logical",
+            "cz_count",
+            "hadamard_count",
+            "equal_to_reference",
+            "max_amp_diff",
+        }
+        assert doc["construction"] == name and doc["n_logical"] == 2
+    assert rep.details["elc"]["cz_count"] == 19
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_closed_form_counts(n):
+    rep, direct_log, elc_log = enc.build_logical_cluster(n)
+    assert rep.passed and enc.counts_match(n, direct_log, elc_log)
+    assert direct_log.count_cz() == 5 * n + 25 * (n - 1)
+    assert direct_log.count_cz("logical_cz") == 25 * (n - 1)
+    assert direct_log.hadamard_count == 0
+    assert elc_log.count_cz() == 10 * n - 1
+    assert elc_log.hadamard_count == 2 * n - (2 if n == 2 else 0)
+    assert (direct_log.count_cz(), elc_log.count_cz()) == {2: (35, 19), 4: (95, 39)}[n]
+    # one surplus gate in either log breaks the match
+    for log, gate in ((direct_log, sv.Gate.cz(0, 5)), (elc_log, sv.Gate.h(0))):
+        log.append(gate)
+        assert not enc.counts_match(n, direct_log, elc_log)
+        log.gates.pop()
+        log.tags.pop()
+    assert enc.counts_match(n, direct_log, elc_log)
 
 
 def test_chain_elc_steps_rejects_odd_lengths():
@@ -222,15 +239,17 @@ def test_chain_elc_steps_two_and_six():
 
 
 def test_build_logical_cluster_two_blocks():
-    state, log, rep = enc.build_logical_cluster(2)
+    rep, _, log = enc.build_logical_cluster(2)
+    state, elc_log = enc.build_elc(2)
     assert rep.passed
-    assert log.cz_count == 19
+    assert log.count_cz() == 19
     assert rep.details["direct"]["cz_count"] == 35
+    assert log.gates == elc_log.gates and log.tags == elc_log.tags
     # log/compute consistency: running the logged gates reproduces the state
     replayed = sv.apply_gates(sv.plus_state(10), log.gates)
     assert sv.equal_exact(replayed, state, 1e-12)
     assert len(log.tags) == len(log.gates)
-    assert log.cz_count == sum(1 for gate in log.gates if gate.kind is sv.GateKind.CZ)
+    assert log.count_cz() == sum(1 for gate in log.gates if gate.kind is sv.GateKind.CZ)
 
 
 def test_build_logical_cluster_rejects_odd():
@@ -244,5 +263,5 @@ def test_circuit_log_counts_never_decrease():
     state = sv.plus_state(3)
     for gate in (sv.Gate.h(0), sv.Gate.cz(0, 1), sv.Gate.cz(1, 2), sv.Gate.h(2)):
         log.append(gate)
-        seen.append((log.cz_count, log.hadamard_count))
+        seen.append((log.count_cz(), log.hadamard_count))
     assert seen == [(0, 1), (1, 1), (2, 1), (2, 2)]

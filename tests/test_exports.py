@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gselc
+from gselc import encoding
 
 MODULES = [f"gselc.{m.name}" for m in pkgutil.iter_modules(gselc.__path__)]
 
@@ -21,19 +22,91 @@ def test_all_names_exist(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
-def test_package_imports_exist_and_are_exported():
+def _package_imports():
+    """(module, name) for every ``from .module import name`` in ``gselc/__init__.py``."""
     tree = ast.parse(Path(gselc.__file__).read_text(encoding="utf-8"))
-    imported = [
+    return [
         (node.module, alias.name)
         for node in tree.body
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     ]
+
+
+def test_package_imports_exist_and_are_exported():
+    imported = _package_imports()
     assert imported
     for module_name, name in imported:
         module = importlib.import_module(f"gselc.{module_name}")
         assert hasattr(module, name) and hasattr(gselc, name), f"{module_name}.{name}"
         assert name in getattr(module, "__all__", [name]), f"{name} not in {module_name}.__all__"
+
+
+# the public surface: adding a name (say, a second build wrapper) or dropping
+# one takes an edit here
+PACKAGE_NAMES = {
+    "graph": {
+        "Graph",
+        "cycle",
+        "disjoint_union",
+        "edge_local_complement",
+        "elc_via_lcs",
+        "from_edges",
+        "from_json",
+        "local_complement",
+        "neighborhood",
+        "new_empty",
+        "path",
+        "star",
+        "to_dot",
+        "to_json",
+        "toggle_edge",
+    },
+    "report": {"Report"},
+    "statevector": {
+        "DEFAULT_MAX_QUBITS",
+        "Gate",
+        "GateKind",
+        "StateVector",
+        "equal_exact",
+        "equal_up_to_global_phase",
+        "graph_state",
+        "plus_state",
+        "scan_theorem1_shared_neighbors",
+        "verify_stabilizers",
+        "verify_theorem1",
+        "verify_vertex_lc",
+    },
+    "encoding": {
+        "CircuitLog",
+        "build_direct",
+        "build_elc",
+        "build_logical_cluster",
+        "verify_chain_elc_steps",
+    },
+}
+ENCODING_ALL = {
+    "IDENTITY_H",
+    "block",
+    "CircuitLog",
+    "record_ghz",
+    "record_pentagon",
+    "record_logical_cz",
+    "build_direct",
+    "build_elc",
+    "counts_match",
+    "verify_chain_elc_steps",
+    "build_logical_cluster",
+}
+
+
+def test_public_surface_is_pinned():
+    imported = {}
+    for module_name, name in _package_imports():
+        imported.setdefault(module_name, set()).add(name)
+    assert imported == PACKAGE_NAMES
+    assert set(encoding.__all__) == ENCODING_ALL
+    assert len(encoding.__all__) == len(ENCODING_ALL)  # no name listed twice
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -221,9 +221,19 @@ def test_star1_graph_state_amplitudes():
     assert np.max(np.abs(got.amps - expected)) < 1e-12
 
 
+def test_shared_neighborhood_scan_passes_only_with_every_case_checked(monkeypatch):
+    rep = sv.scan_theorem1_shared_neighbors(trials=0)
+    assert rep.details["cases_checked"] == 0 and not rep.passed
+    # one triangle, then graphs without a shared-neighbour edge: 1 case of 2
+    graphs = iter([gr.cycle(3)])
+    monkeypatch.setattr(gr, "random_graph", lambda rng, n: next(graphs, gr.new_empty(n)))
+    rep = sv.scan_theorem1_shared_neighbors(trials=2)
+    assert rep.details["cases_checked"] == 1 and not rep.passed
+
+
 def test_shared_neighborhood_scan_records_outcome():
     rep = sv.scan_theorem1_shared_neighbors(trials=30, seed=0)
-    assert rep.passed  # the scan itself always completes
+    assert rep.passed  # every case asked for was found and checked
     d = rep.details
     assert d["cases_checked"] == 30
     assert d["equal_exact"] <= d["cases_checked"]
