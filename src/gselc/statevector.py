@@ -9,9 +9,14 @@ Gates run in place: ``apply_gates`` copies its input once per gate list. Each
 run of consecutive CZs is XORed into bit rows and applied as one multiply by
 the int8 sign vector (-1)^(x^T U x) that ``_sign_vector`` builds by doubling
 (``graph_state`` is 2^(-n/2) times it); a run that reduces to one CZ negates a
-strided view. Single-qubit gates write into two half-size scratch buffers made
-once per gate list. The tests keep index-based reference kernels that these
-must match bit for bit.
+strided view. A single-qubit gate walks the state in blocks of ``_BLOCK``
+amplitude pairs, each product written into a two-block scratch made once per
+gate list, so a block and its scratch stay in cache and no half-size buffer is
+made. H runs as a butterfly, t0 = s*a0, t1 = s*a1, a0 = t0 + t1, a1 = t0 - t1:
+4 passes instead of 7, and exact, because fl(-s*a1) = -fl(s*a1) and x + (-y)
+is x - y in IEEE arithmetic (on complex data only the sign of a zero part can
+differ). ``amp_distance`` also works block by block, with no 2^n temporary.
+The tests keep index-based reference kernels that these must match bit for bit.
 
 Amplitudes stay float64 while they are all real: ``plus_state`` and
 ``graph_state`` return float64, and ``apply_gates`` keeps float64 when every
@@ -38,6 +43,7 @@ from .errors import (
     BadArityError,
     SizeMismatchError,
     TooManyQubitsError,
+    TooSmallError,
     VertexRangeError,
 )
 from .graph import Graph, mask_vertices
@@ -63,6 +69,8 @@ __all__ = [
 DEFAULT_MAX_QUBITS = 20
 
 _SQRT2 = np.sqrt(2.0)
+# amplitude pairs per kernel block: a block and its scratch stay in L2
+_BLOCK = 1 << 14
 
 
 class GateKind(Enum):
@@ -82,9 +90,12 @@ _MATRICES = {
     GateKind.SQRT_MINUS_IX: np.array([[-1, 1j], [1j, -1]], dtype=complex) / _SQRT2,
     GateKind.SQRT_IZ: np.array([[1j + 1, 0], [0, 1j - 1]], dtype=complex) / _SQRT2,
 }
+# the kernel takes a matrix as its entries (m00, m01, m10, m11), Python numbers,
+# which numpy reads faster than scalars indexed out of an array
+_ENTRIES = {kind: tuple(m.ravel().tolist()) for kind, m in _MATRICES.items()}
 # the real parts of the real matrices (H, X, Z): on real amplitudes their float64
 # products equal the real parts of the complex products bit for bit
-_REAL = {kind: m.real.copy() for kind, m in _MATRICES.items() if not m.imag.any()}
+_REAL = {kind: tuple(m.real.ravel().tolist()) for kind, m in _MATRICES.items() if not m.imag.any()}
 
 
 @dataclass(frozen=True)
@@ -154,6 +165,8 @@ class StateVector:
 
 
 def _check_cap(n: int, max_qubits: int) -> None:
+    if n < 0:
+        raise TooSmallError(f"qubit count must be non-negative, got {n}")
     if n > max_qubits:
         raise TooManyQubitsError(f"{n} qubits exceeds the cap of {max_qubits}")
 
@@ -164,19 +177,32 @@ def plus_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2)), _owned=True)
 
 
-def _single_qubit_inplace(amps: np.ndarray, n: int, q: int, matrix, scratch) -> None:
-    # each product goes through out= into a scratch half, the reference's
-    # arithmetic: in-place products differ from it in the last bit
-    view = amps.reshape(1 << (n - q - 1), 2, 1 << q)
-    a0, a1 = view[:, 0, :], view[:, 1, :]
-    t0, t1 = scratch.reshape(2, *a0.shape)
-    np.multiply(matrix[0, 0], a0, out=t0)
-    np.multiply(matrix[0, 1], a1, out=t1)
-    t0 += t1
-    np.multiply(matrix[1, 0], a0, out=t1)
-    a0[...] = t0
-    np.multiply(matrix[1, 1], a1, out=t0)
-    np.add(t0, t1, out=a1)
+def _single_qubit_inplace(amps: np.ndarray, q: int, entries, scratch, butterfly: bool) -> None:
+    # every product goes through out= into the scratch, as in the reference, and the
+    # butterfly's sums equal it too (module docstring); a block is `rows` rows of k
+    # pairs: many rows for a low target, part of one row for a high one
+    m00, m01, m10, m11 = entries
+    inner = 1 << q
+    k = min(inner, _BLOCK)
+    view = amps.reshape(-1, 2, inner // k, k)
+    rows = scratch.shape[1] // k
+    t0, t1 = scratch.reshape(2, rows, k)
+    for r in range(0, view.shape[0], rows):
+        for j in range(view.shape[2]):
+            a0, a1 = view[r : r + rows, 0, j], view[r : r + rows, 1, j]
+            if butterfly:
+                np.multiply(m00, a0, out=t0)
+                np.multiply(m00, a1, out=t1)
+                np.add(t0, t1, out=a0)
+                np.subtract(t0, t1, out=a1)
+            else:
+                np.multiply(m00, a0, out=t0)
+                np.multiply(m01, a1, out=t1)
+                t0 += t1
+                np.multiply(m10, a0, out=t1)
+                a0[...] = t0
+                np.multiply(m11, a1, out=t0)
+                np.add(t0, t1, out=a1)
 
 
 def _sign_vector(n: int, lower: list[int]) -> np.ndarray:
@@ -215,14 +241,15 @@ def apply_gates(sv: StateVector, gates) -> StateVector:
     real = sv.amps.dtype == np.float64 and all(
         gate.kind is GateKind.CZ or gate.kind in _REAL for gate in gates
     )
-    matrices = _REAL if real else _MATRICES
+    entries = _REAL if real else _ENTRIES
     amps = sv.amps.astype(np.float64 if real else complex)
     single = any(gate.kind is not GateKind.CZ for gate in gates)
-    scratch = np.empty((2, 1 << (n - 1)), dtype=amps.dtype) if single else None
+    scratch = np.empty((2, min(1 << (n - 1), _BLOCK)), dtype=amps.dtype) if single else None
     for is_cz, run in groupby(gates, key=lambda gate: gate.kind is GateKind.CZ):
         if not is_cz:
             for gate in run:
-                _single_qubit_inplace(amps, n, gate.targets[0], matrices[gate.kind], scratch)
+                h = gate.kind is GateKind.H
+                _single_qubit_inplace(amps, gate.targets[0], entries[gate.kind], scratch, h)
             continue
         lower = [0] * n  # the run as bit rows: a repeated pair cancels
         for gate in run:
@@ -244,9 +271,15 @@ def _check_same_size(a: StateVector, b: StateVector) -> None:
 def amp_distance(a: StateVector, b: StateVector) -> float:
     """Largest component-wise amplitude deviation."""
     _check_same_size(a, b)
-    diff = a.amps - b.amps
-    mags = np.abs(diff, out=diff) if diff.dtype == np.float64 else np.abs(diff)
-    return float(mags.max())
+    size = a.amps.size
+    step = min(size, 2 * _BLOCK)
+    diff = mags = None  # made by the first block, reused by the others
+    worst = 0.0
+    for i in range(0, size, step):
+        diff = np.subtract(a.amps[i : i + step], b.amps[i : i + step], out=diff)
+        mags = np.abs(diff, out=mags)
+        worst = mags.max(initial=worst)  # a NaN stays NaN, as in one max over all
+    return float(worst)
 
 
 def equal_exact(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:

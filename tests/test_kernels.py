@@ -34,8 +34,7 @@ def random_circuit(rng: np.random.Generator, n: int, length: int) -> list[sv.Gat
     return gates
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_gate_kernels_match_reference(n):
+def check_random_circuits(n: int) -> None:
     rng = np.random.default_rng(1000 + n)
     for _ in range(3):
         state = random_state(rng, n)
@@ -46,6 +45,11 @@ def test_gate_kernels_match_reference(n):
         for gate in gates:
             one_by_one = sv.apply_gates(one_by_one, [gate])
         assert np.array_equal(one_by_one.amps, got.amps)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gate_kernels_match_reference(n):
+    check_random_circuits(n)
 
 
 def test_cz_every_pair_matches_reference():
@@ -110,8 +114,7 @@ def assert_matches_reference(state: sv.StateVector, gates: list[sv.Gate]) -> Non
     assert np.array_equal(got.amps, reference_run(state.amps, state.n_qubits, gates))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_fused_cz_runs_match_reference(n):
+def check_fused_runs(n: int) -> None:
     rng = np.random.default_rng(2000 + n)
     state = random_state(rng, n)
     # runs of every length 0..40, each followed by a single-qubit gate of every kind in turn
@@ -125,6 +128,11 @@ def test_fused_cz_runs_match_reference(n):
     h = sv.Gate.h(int(rng.integers(n)))
     for case in (run + [h], [h] + run, run + [h] + run, run):
         assert_matches_reference(state, case)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fused_cz_runs_match_reference(n):
+    check_fused_runs(n)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -162,8 +170,7 @@ def real_inputs(rng: np.random.Generator, n: int) -> list[sv.StateVector]:
     return [sv.plus_state(n), sv.graph_state(random_graph(rng, n))]
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_real_circuits_stay_float64_and_match_reference(n):
+def check_real_circuits(n: int) -> None:
     rng = np.random.default_rng(4000 + n)
     for state in real_inputs(rng, n):
         assert state.amps.dtype == np.float64
@@ -175,7 +182,11 @@ def test_real_circuits_stay_float64_and_match_reference(n):
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_mixed_circuits_promote_and_match_reference(n):
+def test_real_circuits_stay_float64_and_match_reference(n):
+    check_real_circuits(n)
+
+
+def check_mixed_circuits(n: int) -> None:
     rng = np.random.default_rng(5000 + n)
     for state in real_inputs(rng, n):
         for kind in COMPLEX_KINDS:
@@ -192,3 +203,63 @@ def test_mixed_circuits_promote_and_match_reference(n):
                 for gate in mixed:
                     one_by_one = sv.apply_gates(one_by_one, [gate])
                 assert np.array_equal(one_by_one.amps, want)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_mixed_circuits_promote_and_match_reference(n):
+    check_mixed_circuits(n)
+
+
+def real_state(rng: np.random.Generator, n: int) -> sv.StateVector:
+    """A float64 state with random amplitudes, as the module builds them."""
+    raw = rng.normal(size=1 << n)
+    return sv.StateVector(n, raw / np.linalg.norm(raw), _owned=True)
+
+
+def check_amp_distance(n: int) -> None:
+    rng = np.random.default_rng(6000 + n)
+    real = [real_state(rng, n) for _ in range(2)]
+    cplx = [random_state(rng, n) for _ in range(2)]
+    for a in (real[0], cplx[0]):
+        for b in (real[1], cplx[1]):
+            assert sv.amp_distance(a, b) == np.abs(a.amps - b.amps).max()
+    # one amplitude negated: the only deviation sits in the first or the last block
+    for state in (real[0], cplx[0]):
+        for at in (0, -1):
+            amps = state.amps.copy()
+            amps[at] = -amps[at]
+            other = sv.StateVector(n, amps, _owned=True)
+            assert sv.amp_distance(state, other) == np.abs(state.amps - amps).max() > 0
+
+
+@pytest.mark.parametrize("n", range(0, 18))
+def test_amp_distance_matches_numpy(n):
+    check_amp_distance(n)
+
+
+@pytest.fixture(params=[1, 2, 4])
+def small_block(request, monkeypatch):
+    """A kernel block of 1, 2 or 4 amplitude pairs, so small states span many blocks."""
+    monkeypatch.setattr(sv, "_BLOCK", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_multi_block_kernels_match_reference(small_block, n):
+    check_random_circuits(n)
+    check_fused_runs(n)
+    check_real_circuits(n)
+    check_mixed_circuits(n)
+    check_amp_distance(n)
+
+
+def test_h_and_sqrt_iz_on_every_target_at_17_qubits():
+    # 2^16 amplitude pairs: four blocks, split across rows below qubit 14 and inside them above
+    n = 17
+    assert (1 << (n - 1)) // sv._BLOCK == 4
+    rng = np.random.default_rng(17)
+    for state in (real_state(rng, n), random_state(rng, n)):
+        for q in range(n):
+            for gate in (sv.Gate.h(q), sv.Gate.sqrt_iz(q)):
+                got = sv.apply_gates(state, [gate]).amps
+                assert np.array_equal(got, reference_run(state.amps.astype(complex), n, [gate])), gate.label()
