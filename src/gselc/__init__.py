@@ -17,7 +17,6 @@ from .graph import (
     from_edges,
     from_json,
     local_complement,
-    neighborhood,
     new_empty,
     path,
     star,

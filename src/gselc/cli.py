@@ -100,8 +100,8 @@ def _parse_op(op: str) -> tuple[int, ...]:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    """``graph`` and ``export``: one graph, written as canonical JSON or DOT."""
-    g = _parse_graph_spec(args.spec) if args.command == "graph" else _load_graph(args.graph)
+    """One graph, built from a spec or read from a file, written as canonical JSON or DOT."""
+    g = _parse_graph_spec(args.spec)
     text = gr.to_dot(g) if args.format == "dot" else gr.to_json(g) + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -228,17 +228,16 @@ def _suite_chain(args: argparse.Namespace, n_logical: int) -> Report:
 
 
 # Each suite takes the parsed arguments, with the qubit cap and seed resolved,
-# and one parameter: N for chain:N, otherwise --trials or its default.
+# and one parameter: N for chain:N, otherwise --trials or its default. The
+# default is None for the suites that draw no random cases; only the others
+# read --trials and --seed.
 SUITES = {
-    "theorem1": _suite_theorem1,
-    "vertex-lc": _suite_vertex_lc,
-    "stabilizers": _suite_stabilizers,
-    "cs2": _suite_cs2,
-    "chain": _suite_chain,
+    "theorem1": (_suite_theorem1, 200),
+    "vertex-lc": (_suite_vertex_lc, None),
+    "stabilizers": (_suite_stabilizers, 50),
+    "cs2": (_suite_cs2, None),
+    "chain": (_suite_chain, None),
 }
-# default --trials of the suites that draw random cases, the only ones that
-# read --trials and --seed
-DEFAULT_TRIALS = {"theorem1": 200, "stabilizers": 50}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -251,16 +250,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise GselcError(
             f"unknown suite {suite!r}; expected theorem1, vertex-lc, stabilizers, cs2, chain:N"
         )
-    if name not in DEFAULT_TRIALS and (args.trials, args.seed) != (None, None):
+    run_suite, default_trials = SUITES[name]
+    if default_trials is None and (args.trials, args.seed) != (None, None):
         raise GselcError(f"--trials and --seed apply only to theorem1 and stabilizers, not {suite}")
     args.seed = 0 if args.seed is None else args.seed
-    param = DEFAULT_TRIALS.get(name) if args.trials is None else args.trials
+    param = default_trials if args.trials is None else args.trials
     if sep:
         try:
             param = int(arg)
         except ValueError as exc:
             raise GselcError(f"bad chain suite {suite!r}; expected chain:N") from exc
-    report = SUITES[name](args, param)
+    report = run_suite(args, param)
     if args.format == "text":
         status = "PASS" if report.passed else "FAIL"
         _emit(f"{status} {suite}\n", args.out)
@@ -323,11 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     limits(p_encode)
     output(p_encode)
     p_encode.set_defaults(func=cmd_encode)
-
-    p_export = sub.add_parser("export", help="re-serialize a graph file as DOT or canonical JSON")
-    p_export.add_argument("graph", help="graph JSON file, or - for stdin")
-    output(p_export, formats=("dot", "json"))
-    p_export.set_defaults(func=cmd_graph)
 
     return parser
 

@@ -7,9 +7,9 @@ five CZs. The direct construction entangles encoded blocks with 25 inter-block
 CZs each; the shortcut seeds one physical CZ between cores before encoding and
 lets the Hadamards inside the encoders do the rest.
 
-Every build first records its gates in a CircuitLog, then runs the whole gate
-list once with ``apply_gates``, so gate-count claims are audited against the
-exact states those same gates produce.
+Every build makes its |+> start state first, which checks the qubit cap, then
+records its gates in a CircuitLog and runs them once with ``apply_gates``, so
+gate-count claims are audited against the exact states those gates produce.
 """
 
 from __future__ import annotations
@@ -130,12 +130,13 @@ def build_direct(n_logical: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[
     On the all-plus input the GHZ fan-out stage acts as identity, so only the
     pentagons and the 25-CZ logical gates are applied (and counted).
     """
+    state = plus_state(BLOCK_SIZE * n_logical, max_qubits)
     log = CircuitLog()
     for j in range(n_logical):
         record_pentagon(log, j)
     for j in range(n_logical - 1):
         record_logical_cz(log, j, j + 1)
-    return apply_gates(plus_state(BLOCK_SIZE * n_logical, max_qubits), log.gates), log
+    return apply_gates(state, log.gates), log
 
 
 def build_elc(n_logical: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[StateVector, CircuitLog]:
@@ -146,6 +147,7 @@ def build_elc(n_logical: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[Sta
     leaves the seeded two-qubit cluster state invariant and is tagged
     ``IDENTITY_H``; longer chains permute the core graph with it.
     """
+    state = plus_state(BLOCK_SIZE * n_logical, max_qubits)
     cores = [block(j)[0] for j in range(n_logical)]
     log = CircuitLog()
     for a, b in zip(cores, cores[1:]):
@@ -159,7 +161,7 @@ def build_elc(n_logical: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[Sta
         log.append(Gate.h(core))
     for j in range(n_logical):
         record_pentagon(log, j)
-    return apply_gates(plus_state(BLOCK_SIZE * n_logical, max_qubits), log.gates), log
+    return apply_gates(state, log.gates), log
 
 
 def verify_chain_elc_steps(

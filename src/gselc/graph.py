@@ -29,7 +29,6 @@ __all__ = [
     "random_graph",
     "all_graphs",
     "toggle_edge",
-    "neighborhood",
     "local_complement",
     "edge_local_complement",
     "elc_via_lcs",
@@ -170,12 +169,6 @@ def toggle_edge(g: Graph, a: int, b: int) -> Graph:
     rows[a] ^= 1 << b
     rows[b] ^= 1 << a
     return Graph(g.n, tuple(rows))
-
-
-def neighborhood(g: Graph, v: int) -> int:
-    """Neighbor set of v as a bitmask (v itself excluded)."""
-    g.check_vertex(v)
-    return g.rows[v]
 
 
 def local_complement(g: Graph, a: int) -> Graph:

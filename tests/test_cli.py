@@ -176,13 +176,28 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
-def test_export_round_trips(capsys, tmp_path):
+# what the removed ``export`` command printed for cycle:4, in json and dot
+CYCLE4_JSON = '{"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]}\n'
+CYCLE4_DOT = "graph G {\n  0;\n  1;\n  2;\n  3;\n  0 -- 1;\n  0 -- 3;\n  1 -- 2;\n  2 -- 3;\n}\n"
+
+
+def test_export_round_trips(capsys, monkeypatch, tmp_path):
     g = gr.cycle(4)
     src = write_graph(tmp_path, g)
-    code, out, _ = run_cli(capsys, "export", src, "--format", "json")
-    assert code == 0 and out == gr.to_json(g) + "\n"
-    code, out, _ = run_cli(capsys, "export", src)
-    assert code == 0 and out == gr.to_dot(g)
+    for fmt, want in (("json", CYCLE4_JSON), ("dot", CYCLE4_DOT)):
+        code, out, _ = run_cli(capsys, "graph", f"file:{src}", "--format", fmt)
+        assert code == 0 and out == want, fmt
+        monkeypatch.setattr("sys.stdin", io.StringIO(gr.to_json(g)))
+        code, out, _ = run_cli(capsys, "graph", "file:-", "--format", fmt)
+        assert code == 0 and out == want, fmt
+
+
+def test_export_command_is_gone(capsys, tmp_path):
+    src = write_graph(tmp_path, gr.cycle(4))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["export", src])
+    assert exc.value.code == 2
+    assert "argument command: invalid choice: 'export'" in capsys.readouterr().err
 
 
 def test_encode_schema(capsys):
@@ -192,6 +207,27 @@ def test_encode_schema(capsys):
     names = [c["construction"] for c in doc["constructions"]]
     assert names == ["direct", "elc"]
     assert all(c["equal_to_reference"] for c in doc["constructions"])
+
+
+@pytest.mark.parametrize("method", ["direct", "elc"])
+def test_encode_one_method(capsys, method):
+    _, both, _ = run_cli(capsys, "encode", "--n-logical", "2", "--method", "both")
+    code, out, _ = run_cli(capsys, "encode", "--n-logical", "2", "--method", method)
+    assert code == 0
+    (construction,) = json.loads(out)["constructions"]
+    assert construction["construction"] == method
+    assert [construction] == [c for c in json.loads(both)["constructions"] if c["construction"] == method]
+
+
+def test_every_suite_is_named_in_help_and_in_the_unknown_suite_error(capsys, monkeypatch):
+    names = [f"{name}:N" if name == "chain" else name for name in cli.SUITES]
+    monkeypatch.setenv("COLUMNS", "1000")  # no line wrap inside a name
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    help_text = capsys.readouterr().out
+    _, _, err = run_cli(capsys, "verify", "nonsense")
+    for name in names:
+        assert name in help_text and name in err, name
 
 
 def test_max_qubits_env_and_flag(capsys, monkeypatch):
@@ -232,11 +268,10 @@ def test_tol_reaches_the_logical_build(capsys):
 CLI_FLAGS = {
     "graph": {"--format", "--out"},
     "apply": {"--trace", "--out"},
-    "export": {"--format", "--out"},
     "verify": {"--trials", "--seed", "--format", "--max-qubits", "--tol", "--out"},
     "encode": {"--n-logical", "--method", "--max-qubits", "--tol", "--out"},
 }
-CLI_FORMATS = {"graph": ("json", "dot"), "export": ("dot", "json"), "verify": ("json", "text")}
+CLI_FORMATS = {"graph": ("json", "dot"), "verify": ("json", "text")}
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():
@@ -249,7 +284,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         if name in CLI_FORMATS:
             fmt = options["--format"]
             assert tuple(fmt.choices) == CLI_FORMATS[name] and fmt.default == fmt.choices[0]
-    assert sum(map(len, CLI_FLAGS.values())) == 17
+    assert sum(map(len, CLI_FLAGS.values())) == 15
 
 
 @pytest.mark.parametrize(
@@ -258,7 +293,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         ["graph", "star:2", "--seed", "3"],
         ["encode", "--format", "json"],
         ["apply", "-", "lc:0", "--max-qubits", "4"],
-        ["export", "-", "--tol", "1e-9"],
+        ["graph", "file:-", "--tol", "1e-9"],
         ["encode", "--seed", "1"],
     ],
 )
@@ -272,7 +307,7 @@ def test_removed_flags_exit_2(capsys, argv):
 def test_graph_commands_ignore_the_qubit_cap_env(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv(cli.ENV_MAX_QUBITS, "please")
     src = write_graph(tmp_path, gr.path(3))
-    for argv in (("graph", "path:3"), ("apply", src, "lc:1"), ("export", src)):
+    for argv in (("graph", "path:3"), ("apply", src, "lc:1"), ("graph", f"file:{src}")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0 and err == "", argv
 

@@ -8,7 +8,7 @@ import pytest
 from gselc import encoding as enc
 from gselc import graph as gr
 from gselc import statevector as sv
-from gselc.errors import OddChainError
+from gselc.errors import OddChainError, TooManyQubitsError
 
 from conftest import MINUS, ONE, PLUS, ZERO, complete_bipartite, kron_state
 
@@ -265,3 +265,14 @@ def test_circuit_log_counts_never_decrease():
         log.append(gate)
         seen.append((log.count_cz(), log.hadamard_count))
     assert seen == [(0, 1), (1, 1), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("build", [enc.build_direct, enc.build_elc])
+def test_over_cap_builds_fail_before_recording_a_gate(build, monkeypatch):
+    # 5 * 10**5 qubits: recording the gates alone would take seconds and hundreds of MB
+    def no_recording(self, gate, tag=None):
+        raise AssertionError("a gate was recorded before the cap check")
+
+    monkeypatch.setattr(enc.CircuitLog, "append", no_recording)
+    with pytest.raises(TooManyQubitsError, match="exceeds the cap of 20"):
+        build(10**5)

@@ -54,7 +54,6 @@ PACKAGE_NAMES = {
         "from_edges",
         "from_json",
         "local_complement",
-        "neighborhood",
         "new_empty",
         "path",
         "star",

@@ -267,6 +267,12 @@ def test_state_vector_validation():
         state.amps[0] = 9.0  # buffer is read-only
 
 
+def test_state_vector_rejects_nan_amplitudes():
+    # a NaN norm fails every ``> 1e-9`` test, so the check is written to fail on it
+    with pytest.raises(ValueError, match="not normalized"):
+        sv.StateVector(1, np.array([np.nan, np.nan]))
+
+
 def test_state_vector_copies_its_input_as_complex128():
     a = np.array([1.0, 0.0])
     state = sv.StateVector(1, a)
