@@ -127,12 +127,14 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def _suite_theorem1(args: argparse.Namespace, trials: int) -> Report:
+    side = 6  # the largest graph of a pair; the scan draws at most 8 vertices
+    sv._check_cap(2 * side, args.max_qubits)  # before any case, whatever the seed
     rng = np.random.default_rng(args.seed)
     failures = []
     worst = 0.0
     for t in range(trials):
-        n1 = int(rng.integers(1, 7))
-        n2 = int(rng.integers(1, 7))
+        n1 = int(rng.integers(1, side + 1))
+        n2 = int(rng.integers(1, side + 1))
         g1 = gr.random_graph(rng, n1)
         g2 = gr.random_graph(rng, n2)
         c1 = int(rng.integers(0, n1))
@@ -181,10 +183,12 @@ def _suite_vertex_lc(args: argparse.Namespace, _trials: int | None) -> Report:
 
 
 def _suite_stabilizers(args: argparse.Namespace, trials: int) -> Report:
+    largest = 8
+    sv._check_cap(largest, args.max_qubits)  # before any case, whatever the seed
     rng = np.random.default_rng(args.seed)
     failures = []
     for t in range(trials):
-        n = int(rng.integers(1, 9))
+        n = int(rng.integers(1, largest + 1))
         g = gr.random_graph(rng, n)
         rep = sv.verify_stabilizers(g, args.tol, args.max_qubits)
         if not rep.passed:
@@ -252,7 +256,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     run_suite, default_trials = SUITES[name]
     if default_trials is None and (args.trials, args.seed) != (None, None):
-        raise GselcError(f"--trials and --seed apply only to theorem1 and stabilizers, not {suite}")
+        randomized = " and ".join(key for key, (_, trials) in SUITES.items() if trials is not None)
+        raise GselcError(f"--trials and --seed apply only to {randomized}, not {suite}")
     args.seed = 0 if args.seed is None else args.seed
     param = default_trials if args.trials is None else args.trials
     if sep:

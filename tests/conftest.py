@@ -64,6 +64,19 @@ def reference_run(amps: np.ndarray, n: int, gates) -> np.ndarray:
     return out
 
 
+def reference_sign_vector(n: int, lower: list[int]) -> np.ndarray:
+    """int8 (-1)^(x^T U x) by doubling: copy the signs so far, then negate the
+    half-blocks of each lower partner; bit j of ``lower[i]`` is U[j, i], j < i."""
+    sign = np.empty(1 << n, dtype=np.int8)
+    sign[0] = 1
+    for i in range(n):
+        half = sign[1 << i : 2 << i]
+        half[:] = sign[: 1 << i]
+        for j in gr.mask_vertices(lower[i]):
+            half.reshape(1 << (i - j - 1), 2, 1 << j)[:, 1, :] *= -1
+    return sign
+
+
 def reference_graph_state(g: gr.Graph) -> np.ndarray:
     """|G> by one index-mask CZ per edge on |+>^n."""
     amps = np.full(1 << g.n, 2.0 ** (-g.n / 2), dtype=complex)

@@ -228,6 +228,33 @@ def test_every_suite_is_named_in_help_and_in_the_unknown_suite_error(capsys, mon
     _, _, err = run_cli(capsys, "verify", "nonsense")
     for name in names:
         assert name in help_text and name in err, name
+    # the suites that read --trials and --seed are the ones with a default trial count
+    randomized = " and ".join(name for name, (_, trials) in cli.SUITES.items() if trials is not None)
+    assert randomized == "theorem1 and stabilizers"
+    for name in names:
+        if cli.SUITES[name.partition(":")[0]][1] is None:
+            suite = name.replace(":N", ":2")
+            code, out, err = run_cli(capsys, "verify", suite, "--trials", "3")
+            assert (code, out) == (2, ""), suite
+            assert err == f"error: --trials and --seed apply only to {randomized}, not {suite}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, largest",
+    [
+        (["theorem1", "--max-qubits", "8"], 12),
+        (["theorem1", "--max-qubits", "11", "--seed", "4"], 12),
+        (["stabilizers", "--max-qubits", "5"], 8),
+        (["stabilizers", "--max-qubits", "7", "--trials", "1"], 8),
+    ],
+)
+def test_randomized_suites_check_the_cap_before_any_case(capsys, monkeypatch, argv, largest):
+    # the largest draw is checked first, so no state is built whatever the seed
+    calls = []
+    monkeypatch.setattr(cli.sv, "graph_state", lambda *a: calls.append(a))
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: {largest} qubits exceeds the cap of {argv[2]}\n"
 
 
 def test_max_qubits_env_and_flag(capsys, monkeypatch):

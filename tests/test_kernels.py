@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from gselc import statevector as sv
 from gselc.errors import VertexRangeError
 from gselc.graph import all_graphs, random_graph
 
-from conftest import reference_graph_state, reference_run
+from conftest import reference_graph_state, reference_run, reference_sign_vector
 
 GATE_KINDS = list(sv.GateKind)
 
@@ -80,6 +82,39 @@ def test_graph_state_matches_reference_on_random_graphs():
     assert np.array_equal(sv.graph_state(dense).amps, reference_graph_state(dense))
 
 
+def lower_rows(g: gr.Graph) -> list[int]:
+    return [row & ((1 << i) - 1) for i, row in enumerate(g.rows)]
+
+
+def assert_sign_vector_matches_reference(g: gr.Graph) -> None:
+    got = sv._sign_vector(g.n, lower_rows(g))
+    assert got.dtype == np.int8
+    assert np.array_equal(got, reference_sign_vector(g.n, lower_rows(g))), (g.n, g.edges())
+
+
+@pytest.mark.parametrize("n", range(13, 21))
+def test_sign_vector_matches_doubling_reference(n):
+    # up to 14 qubits the builder doubles; past that it gathers signed Walsh rows
+    rng = np.random.default_rng(7000 + n)
+    for _ in range(2):
+        assert_sign_vector_matches_reference(random_graph(rng, n))
+    if n <= 16:
+        assert_sign_vector_matches_reference(gr.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
+        assert_sign_vector_matches_reference(gr.new_empty(n))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sign_vector_matches_reference_on_benchmark_elc_graphs(monkeypatch, seed):
+    # the dense right-hand sides of Theorem 1: 58-77 edges on 16-20 qubits
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import theorem1_inputs
+
+    for case in theorem1_inputs(seed):
+        c2 = case.c2 + case.g1.n
+        joined = gr.toggle_edge(gr.disjoint_union(case.g1, case.g2), case.c1, c2)
+        assert_sign_vector_matches_reference(gr.edge_local_complement(joined, case.c1, c2))
+
+
 def test_apply_gates_leaves_input_unchanged_and_read_only():
     rng = np.random.default_rng(3)
     state = random_state(rng, 5)
@@ -90,6 +125,33 @@ def test_apply_gates_leaves_input_unchanged_and_read_only():
     assert not out.amps.flags.writeable
     assert not np.shares_memory(out.amps, state.amps)
     assert np.array_equal(sv.apply_gates(state, []).amps, before)
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_apply_gates_never_writes_its_input(n):
+    # a leading CZ run multiplies into a fresh buffer instead of copying first
+    rng = np.random.default_rng(8000 + n)
+    run = [sv.Gate.cz(0, 1), sv.Gate.cz(2, 5), sv.Gate.cz(1, 4)]
+    lists = {
+        "leading CZ run": run + [sv.Gate.h(3)],
+        "CZ run only": run,
+        "cancelled CZ pair": [sv.Gate.cz(1, 4), sv.Gate.cz(4, 1)],
+        "cancelled pair, then H": [sv.Gate.cz(1, 4), sv.Gate.cz(4, 1), sv.Gate.h(0)],
+        "lone CZ": [sv.Gate.cz(1, 5)],
+        "empty": [],
+        "promoted": run + [sv.Gate.sqrt_minus_ix(0)],
+    }
+    for state in (real_state(rng, n), random_state(rng, n)):
+        before = state.amps.copy()
+        for name, gates in lists.items():
+            out = sv.apply_gates(state, gates)
+            assert np.array_equal(state.amps, before), name
+            assert not state.amps.flags.writeable, name
+            assert not np.shares_memory(out.amps, state.amps), name
+            assert np.array_equal(out.amps, reference_run(state.amps.astype(complex), n, gates)), name
+            if out.amps.dtype == np.complex128:  # the same bits, zero signs too, as on a complex copy
+                twin = sv.apply_gates(sv.StateVector(n, state.amps), gates).amps.view(np.float64)
+                assert np.array_equal(np.signbit(out.amps.view(np.float64)), np.signbit(twin)), name
 
 
 def test_apply_gates_checks_every_target_first():

@@ -292,9 +292,12 @@ def test_fresh_buffers_are_not_copied_again():
     # scratch (two blocks) add 0.125 each, numpy's cast buffer about 0.03
     n = 18
     base = sv.graph_state(gr.path(n))
+    complete = gr.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     runs = {
         "plus_state": lambda: sv.plus_state(n),
         "graph_state": lambda: sv.graph_state(gr.cycle(n)),
+        # past 14 qubits the sign vector is gathered from a 32 KB table of Walsh rows
+        "graph_state, complete graph": lambda: sv.graph_state(complete),
         "apply_gates, CZ run": lambda: sv.apply_gates(base, [sv.Gate.cz(0, 5), sv.Gate.cz(2, 9)]),
         "apply_gates, one H": lambda: sv.apply_gates(base, [sv.Gate.h(3)]),
         "apply_gates, one sqrt(iZ)": lambda: sv.apply_gates(base, [sv.Gate.sqrt_iz(3)]),
