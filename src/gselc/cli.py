@@ -127,8 +127,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def _suite_theorem1(args: argparse.Namespace, trials: int) -> Report:
-    side = 6  # the largest graph of a pair; the scan draws at most 8 vertices
-    sv._check_cap(2 * side, args.max_qubits)  # before any case, whatever the seed
+    side = 6  # the largest graph of a pair; checked before any case, whatever the seed
+    sv._check_cap(max(2 * side, sv._SCAN_MAX_N), args.max_qubits)
     rng = np.random.default_rng(args.seed)
     failures = []
     worst = 0.0

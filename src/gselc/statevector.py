@@ -5,19 +5,16 @@ single-qubit Cliffords and CZ exactly, and checks the Hadamard-pair /
 edge-local-complementation identity, the local-complementation unitary with
 its residual Z gates, and stabilizer fixed points.
 
-Gates run in place on one private buffer per gate list: a list that starts
-with a run of CZs multiplies its input into a fresh buffer, any other list
-copies its input first. Each run of consecutive CZs is XORed into bit rows and
-applied as one multiply by the int8 sign vector (-1)^(x^T U x) (``graph_state``
-is 2^(-n/2) times it); a run that reduces to one CZ negates a strided view.
-``_sign_vector`` doubles up to 14 qubits. Past that it splits x into its 7 low
-and n - 7 high bits, which makes each row a signed Walsh row, and gathers every
-row from one 32 KB table, at a cost that does not grow with the edge count.
-A single-qubit gate walks the state in blocks of ``_BLOCK`` amplitude pairs,
-each product written into a two-block scratch made once per gate list, so a
-block and its scratch stay in cache and no half-size buffer is made; on states
-of more than two blocks, contiguous runs of at most 32 bytes (a low target) are
-walked as 1-D strided views instead. H runs as a butterfly, t0 = s*a0,
+Gates run in place: ``apply_gates`` copies its input once per gate list. Each
+run of consecutive CZs is XORed into bit rows and applied as one multiply by
+the int8 sign vector (-1)^(x^T U x) (``graph_state`` is 2^(-n/2) times it); a
+run that reduces to one CZ negates a strided view. ``_sign_vector`` doubles up
+to 14 qubits. Past that it splits x into its 7 low and n - 7 high bits, which
+makes each row a signed Walsh row, and gathers every row from one 32 KB table,
+at a cost that does not grow with the edge count. A single-qubit gate walks
+the state in blocks of ``_BLOCK`` amplitude pairs, each product written into a
+two-block scratch made once per gate list, so a block and its scratch stay in
+cache and no half-size buffer is made. H runs as a butterfly, t0 = s*a0,
 t1 = s*a1, a0 = t0 + t1, a1 = t0 - t1: 4 passes instead of 7, and exact,
 because fl(-s*a1) = -fl(s*a1) and x + (-y) is x - y in IEEE arithmetic (on
 complex data only the sign of a zero part can differ). ``amp_distance`` also
@@ -26,11 +23,10 @@ reference kernels that these must match bit for bit.
 
 Amplitudes stay float64 while they are all real: ``plus_state`` and
 ``graph_state`` return float64, and ``apply_gates`` keeps float64 when every
-gate of the list is real (H, X, Z, CZ), else it casts its input once to
-complex128 before any gate. This is exact: for a real matrix entry c and a real
-amplitude x the complex product (c+0j)(x+0j) has real part c*x - 0*0, the
-float64 product, and an imaginary part of +-0. The public
-``StateVector(n, amps)`` stores complex128.
+gate of the list is real (H, X, Z, CZ), else it promotes its copy once to
+complex128. This is exact: for a real matrix entry c and a real amplitude x the
+complex product (c+0j)(x+0j) has real part c*x - 0*0, the float64 product, and
+an imaginary part of +-0. The public ``StateVector(n, amps)`` stores complex128.
 
 Qubit convention: bit i of a basis-state index is qubit i (little endian), and
 qubit i is graph vertex i. Every cross-module index map goes through this one
@@ -82,6 +78,8 @@ _BLOCK = 1 << 14
 # low qubits of a sign-vector row, and the int8 Walsh table (-1)^(a.b) over them
 _LOW = 7
 _WALSH = reduce(np.kron, [np.array([[1, 1], [1, -1]], dtype=np.int8)] * _LOW)
+# the most vertices a graph of the shared-neighbour scan draws
+_SCAN_MAX_N = 8
 
 
 class GateKind(Enum):
@@ -194,12 +192,10 @@ def _single_qubit_inplace(amps: np.ndarray, q: int, entries, scratch, butterfly:
     # pairs: many rows for a low target, part of one row for a high one
     m00, m01, m10, m11 = entries
     inner = 1 << q
-    # on a multi-block state, runs of at most 32 bytes (real q <= 2, complex q <= 1)
-    # go faster as 2^q 1-D strided views; longer ones are faster as they are
-    k = 1 if amps.size > 2 * _BLOCK and amps.itemsize << q <= 32 else min(inner, _BLOCK)
+    k = min(inner, _BLOCK)
     view = amps.reshape(-1, 2, inner // k, k)
-    rows = min(scratch.shape[1] // k, view.shape[0])
-    t0, t1 = scratch.reshape(-1)[: 2 * rows * k].reshape(2, rows, k)
+    rows = scratch.shape[1] // k
+    t0, t1 = scratch.reshape(2, rows, k)
     for r in range(0, view.shape[0], rows):
         for j in range(view.shape[2]):
             a0, a1 = view[r : r + rows, 0, j], view[r : r + rows, 1, j]
@@ -254,10 +250,10 @@ def graph_state(g: Graph, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
 
 
 def apply_gates(sv: StateVector, gates) -> StateVector:
-    """Exact unitary action of a gate list, run in order on one private buffer.
+    """Exact unitary action of a gate list, run in order on one private copy.
 
     Every target is checked before any work; the input state is never written.
-    The buffer stays float64 when the input is float64 and every gate is real
+    The copy stays float64 when the input is float64 and every gate is real
     (H, X, Z, CZ); otherwise it is promoted once to complex128.
     """
     gates = list(gates)
@@ -270,37 +266,24 @@ def apply_gates(sv: StateVector, gates) -> StateVector:
         gate.kind is GateKind.CZ or gate.kind in _REAL for gate in gates
     )
     entries = _REAL if real else _ENTRIES
-    dtype = np.float64 if real else complex
-    amps = None  # the private buffer, made by the first step that writes
+    amps = sv.amps.astype(np.float64 if real else complex)
     single = any(gate.kind is not GateKind.CZ for gate in gates)
-    scratch = np.empty((2, min(1 << (n - 1), _BLOCK)), dtype=dtype) if single else None
+    scratch = np.empty((2, min(1 << (n - 1), _BLOCK)), dtype=amps.dtype) if single else None
     for is_cz, run in groupby(gates, key=lambda gate: gate.kind is GateKind.CZ):
-        if is_cz:
-            lower = [0] * n  # the run as bit rows: a repeated pair cancels
-            for gate in run:
-                lower[max(gate.targets)] ^= 1 << min(gate.targets)
-            pairs = [(j, i) for i, row in enumerate(lower) if row for j in mask_vertices(row)]
-            if len(pairs) > 1 and amps is None and sv.amps.dtype == dtype:
-                amps = np.multiply(sv.amps, _sign_vector(n, lower))  # a leading run makes it
-                continue
-        if amps is None:  # a promotion casts first, so the signs of zero parts stay
-            amps = sv.amps.astype(dtype)
         if not is_cz:
             for gate in run:
                 h = gate.kind is GateKind.H
                 _single_qubit_inplace(amps, gate.targets[0], entries[gate.kind], scratch, h)
-        elif len(pairs) == 1:  # one CZ: negate a strided view, or 2^lo of them
+            continue
+        lower = [0] * n  # the run as bit rows: a repeated pair cancels
+        for gate in run:
+            lower[max(gate.targets)] ^= 1 << min(gate.targets)
+        pairs = [(j, i) for i, row in enumerate(lower) if row for j in mask_vertices(row)]
+        if len(pairs) == 1:  # one CZ: negate a strided view
             (lo, hi), = pairs
-            # on a multi-block state two 1-D strided views beat one view of 2-amplitude
-            # runs; 4-amplitude runs (lo = 2) are faster as they are
-            k = 1 if lo == 1 and amps.size > 2 * _BLOCK else 1 << lo
-            view = amps.reshape(1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, (1 << lo) // k, k)
-            for r in range(view.shape[4]):
-                view[:, 1, :, 1, r] *= -1
+            amps.reshape(1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)[:, 1, :, 1, :] *= -1
         elif pairs:
             amps *= _sign_vector(n, lower)
-    if amps is None:  # an empty gate list
-        amps = sv.amps.astype(dtype)
     return StateVector(n, amps, _owned=True)
 
 
@@ -462,7 +445,7 @@ def scan_theorem1_shared_neighbors(
     attempts = 0
     while checked < trials and attempts < trials * 200:
         attempts += 1
-        n = int(rng.integers(3, 9))
+        n = int(rng.integers(3, _SCAN_MAX_N + 1))
         g = gr.random_graph(rng, n)
         candidates = [
             (a, b)

@@ -257,6 +257,15 @@ def test_randomized_suites_check_the_cap_before_any_case(capsys, monkeypatch, ar
     assert err == f"error: {largest} qubits exceeds the cap of {argv[2]}\n"
 
 
+def test_theorem1_cap_check_follows_the_scan_draw(capsys, monkeypatch):
+    # the up-front check reads the scan's largest draw from statevector, not a copy of it
+    calls = []
+    monkeypatch.setattr(cli.sv, "graph_state", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli.sv, "_SCAN_MAX_N", 13)
+    code, out, err = run_cli(capsys, "verify", "theorem1", "--max-qubits", "12")
+    assert (code, out, err, calls) == (2, "", "error: 13 qubits exceeds the cap of 12\n", [])
+
+
 def test_max_qubits_env_and_flag(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_MAX_QUBITS, "4")
     code, _, err = run_cli(capsys, "verify", "cs2")

@@ -129,7 +129,7 @@ def test_apply_gates_leaves_input_unchanged_and_read_only():
 
 @pytest.mark.parametrize("n", [6, 16])
 def test_apply_gates_never_writes_its_input(n):
-    # a leading CZ run multiplies into a fresh buffer instead of copying first
+    # whatever a list starts with, its result is a fresh buffer and the input is never written
     rng = np.random.default_rng(8000 + n)
     run = [sv.Gate.cz(0, 1), sv.Gate.cz(2, 5), sv.Gate.cz(1, 4)]
     lists = {
