@@ -128,7 +128,11 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def _suite_theorem1(args: argparse.Namespace, trials: int) -> Report:
     side = 6  # the largest graph of a pair; checked before any case, whatever the seed
-    sv._check_cap(max(2 * side, sv._SCAN_MAX_N), args.max_qubits)
+    sv._check_cap(2 * side, args.max_qubits)
+    # the scan checks its own largest draw first, and has its own generator
+    scan = sv.scan_theorem1_shared_neighbors(
+        trials=50, seed=args.seed, tol=args.tol, max_qubits=args.max_qubits
+    )
     rng = np.random.default_rng(args.seed)
     failures = []
     worst = 0.0
@@ -143,9 +147,6 @@ def _suite_theorem1(args: argparse.Namespace, trials: int) -> Report:
         worst = max(worst, rep.details["max_amp_diff"])
         if not rep.passed:
             failures.append({"trial": t, "report": rep.details})
-    scan = sv.scan_theorem1_shared_neighbors(
-        trials=50, seed=args.seed, tol=args.tol, max_qubits=args.max_qubits
-    )
     return Report(
         passed=not failures,
         details={
@@ -162,9 +163,11 @@ def _suite_theorem1(args: argparse.Namespace, trials: int) -> Report:
 
 
 def _suite_vertex_lc(args: argparse.Namespace, _trials: int | None) -> Report:
+    largest = 5
+    sv._check_cap(largest, args.max_qubits)  # before any case
     checked = 0
     failures = []
-    for n in range(0, 6):
+    for n in range(0, largest + 1):
         for g in gr.all_graphs(n):
             for a in range(n):
                 rep = sv.verify_vertex_lc(g, a, args.tol, args.max_qubits)
@@ -219,8 +222,9 @@ def _suite_cs2(args: argparse.Namespace, _trials: int | None) -> Report:
 
 
 def _suite_chain(args: argparse.Namespace, n_logical: int) -> Report:
-    steps = encoding.verify_chain_elc_steps(n_logical, args.tol, args.max_qubits)
+    # the 5N-qubit build first: it checks the length, then the cap, before any state
     build, _, _ = encoding.build_logical_cluster(n_logical, args.tol, args.max_qubits)
+    steps = encoding.verify_chain_elc_steps(n_logical, args.tol, args.max_qubits)
     return Report(
         passed=steps.passed and build.passed,
         details={

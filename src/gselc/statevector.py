@@ -8,13 +8,12 @@ its residual Z gates, and stabilizer fixed points.
 Gates run in place: ``apply_gates`` copies its input once per gate list. Each
 run of consecutive CZs is XORed into bit rows and applied as one multiply by
 the int8 sign vector (-1)^(x^T U x) (``graph_state`` is 2^(-n/2) times it); a
-run that reduces to one CZ negates a strided view. ``_sign_vector`` doubles up
-to 14 qubits. Past that it splits x into its 7 low and n - 7 high bits, which
-makes each row a signed Walsh row, and gathers every row from one 32 KB table,
-at a cost that does not grow with the edge count. A single-qubit gate walks
-the state in blocks of ``_BLOCK`` amplitude pairs, each product written into a
-two-block scratch made once per gate list, so a block and its scratch stay in
-cache and no half-size buffer is made. H runs as a butterfly, t0 = s*a0,
+run that reduces to one CZ negates a strided view. ``_sign_vector`` doubles the
+vector once per qubit, multiplying in one row of the 128 x 128 Walsh table per
+7 bits, at a cost that does not grow with the edge count. A single-qubit gate
+walks the state in blocks of ``_BLOCK`` amplitude pairs, each product written
+into a two-block scratch made once per gate list, so a block and its scratch
+stay in cache and no half-size buffer is made. H runs as a butterfly, t0 = s*a0,
 t1 = s*a1, a0 = t0 + t1, a1 = t0 - t1: 4 passes instead of 7, and exact,
 because fl(-s*a1) = -fl(s*a1) and x + (-y) is x - y in IEEE arithmetic (on
 complex data only the sign of a zero part can differ). ``amp_distance`` also
@@ -75,8 +74,9 @@ DEFAULT_MAX_QUBITS = 20
 _SQRT2 = np.sqrt(2.0)
 # amplitude pairs per kernel block: a block and its scratch stay in L2
 _BLOCK = 1 << 14
-# low qubits of a sign-vector row, and the int8 Walsh table (-1)^(a.b) over them
+# bits of a sign-vector chunk, and the int8 Walsh table (-1)^(a.b) over them
 _LOW = 7
+_MASK = (1 << _LOW) - 1
 _WALSH = reduce(np.kron, [np.array([[1, 1], [1, -1]], dtype=np.int8)] * _LOW)
 # the most vertices a graph of the shared-neighbour scan draws
 _SCAN_MAX_N = 8
@@ -217,27 +217,25 @@ def _single_qubit_inplace(amps: np.ndarray, q: int, entries, scratch, butterfly:
 def _sign_vector(n: int, lower: list[int]) -> np.ndarray:
     """int8 (-1)^(x^T U x) for all x; bit j of ``lower[i]`` is U[j, i], j < i.
 
-    Doubles up to 2 * _LOW qubits. Past that, x = (h, l) with l the low _LOW bits
-    gives x^T U x = l^T U_ll l + h^T U_hh h + v(h).l, v(h) the XOR of the low parts
-    of h's rows: row h is s_hi[h] * s_lo * W[v(h)], gathered from one table.
+    The quadratic form of a graph state (Dehaene and De Moor, PRA 68, 042318):
+    for y < 2^i, x = 2^i + y gives x^T U x = y^T U y + v.y with v = ``lower[i]``,
+    so the signs of the indices whose top bit is i are those of y times the
+    Walsh row (-1)^(v.y). Split y into _LOW-bit chunks y_k and v into v_k, and
+    that row is the product over k of W[v_k, y_k], W the table. The two lowest
+    chunks make a row of at most 2^14 entries, which multiplies the signs so
+    far into the new half; each higher chunk is one pass over that half.
     """
-    if n > 2 * _LOW:
-        s_lo = _sign_vector(_LOW, lower[:_LOW])
-        s_hi = _sign_vector(n - _LOW, [row >> _LOW for row in lower[_LOW:]])
-        table = s_lo * _WALSH
-        table = np.concatenate([table, -table])  # row v + 2^_LOW: the row negated
-        index = np.zeros(1 << (n - _LOW), dtype=np.intp)
-        for k, row in enumerate(lower[_LOW:]):
-            index[1 << k : 2 << k] = index[: 1 << k] ^ (row & ((1 << _LOW) - 1))
-        index[s_hi < 0] += 1 << _LOW
-        return table.take(index, axis=0).ravel()
     sign = np.empty(1 << n, dtype=np.int8)
     sign[0] = 1
-    for i in range(n):
+    for i, row in enumerate(lower):
+        walsh = _WALSH[row & _MASK, : 1 << min(i, _LOW)]
+        if i > _LOW:
+            walsh = np.multiply.outer(_WALSH[(row >> _LOW) & _MASK, : 1 << min(i - _LOW, _LOW)], walsh).ravel()
         half = sign[1 << i : 2 << i]
-        half[:] = sign[: 1 << i]
-        for j in mask_vertices(lower[i]):
-            half.reshape(1 << (i - j - 1), 2, 1 << j)[:, 1, :] *= -1
+        np.multiply(sign[: 1 << i].reshape(-1, walsh.size), walsh, out=half.reshape(-1, walsh.size))
+        for lo in range(2 * _LOW, i, _LOW):
+            width = 1 << min(i - lo, _LOW)
+            half.reshape(-1, width, 1 << lo)[...] *= _WALSH[(row >> lo) & _MASK, :width, None]
     return sign
 
 
@@ -437,6 +435,7 @@ def scan_theorem1_shared_neighbors(
     recorded, never asserted; ``passed`` means the scan found as many such
     cases as were asked for, and at least one.
     """
+    _check_cap(_SCAN_MAX_N, max_qubits)  # before any draw, whatever the seed
     rng = np.random.default_rng(seed)
     checked = 0
     equal_exact_count = 0
@@ -447,11 +446,7 @@ def scan_theorem1_shared_neighbors(
         attempts += 1
         n = int(rng.integers(3, _SCAN_MAX_N + 1))
         g = gr.random_graph(rng, n)
-        candidates = [
-            (a, b)
-            for a, b in g.edges()
-            if (g.rows[a] & g.rows[b] & ~(1 << a) & ~(1 << b))
-        ]
+        candidates = [(a, b) for a, b in g.edges() if g.rows[a] & g.rows[b]]
         if not candidates:
             continue
         a, b = candidates[int(rng.integers(0, len(candidates)))]

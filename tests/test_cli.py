@@ -246,15 +246,21 @@ def test_every_suite_is_named_in_help_and_in_the_unknown_suite_error(capsys, mon
         (["theorem1", "--max-qubits", "11", "--seed", "4"], 12),
         (["stabilizers", "--max-qubits", "5"], 8),
         (["stabilizers", "--max-qubits", "7", "--trials", "1"], 8),
+        (["vertex-lc", "--max-qubits", "3"], 5),
+        (["chain:6"], 30),
     ],
 )
 def test_randomized_suites_check_the_cap_before_any_case(capsys, monkeypatch, argv, largest):
-    # the largest draw is checked first, so no state is built whatever the seed
+    # the largest state is checked first, so none is built whatever the seed;
+    # encoding imports graph_state by name, so it is stubbed there too
     calls = []
     monkeypatch.setattr(cli.sv, "graph_state", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli.encoding, "graph_state", lambda *a: calls.append(a))
+    monkeypatch.delenv(cli.ENV_MAX_QUBITS, raising=False)
+    cap = argv[2] if len(argv) > 1 else cli.sv.DEFAULT_MAX_QUBITS
     code, out, err = run_cli(capsys, "verify", *argv)
     assert (code, out, calls) == (2, "", [])
-    assert err == f"error: {largest} qubits exceeds the cap of {argv[2]}\n"
+    assert err == f"error: {largest} qubits exceeds the cap of {cap}\n"
 
 
 def test_theorem1_cap_check_follows_the_scan_draw(capsys, monkeypatch):

@@ -92,15 +92,33 @@ def assert_sign_vector_matches_reference(g: gr.Graph) -> None:
     assert np.array_equal(got, reference_sign_vector(g.n, lower_rows(g))), (g.n, g.edges())
 
 
-@pytest.mark.parametrize("n", range(13, 21))
+@pytest.mark.parametrize("n", range(0, 24))
 def test_sign_vector_matches_doubling_reference(n):
-    # up to 14 qubits the builder doubles; past that it gathers signed Walsh rows
+    # the builder takes Walsh rows 7 bits at a time: 9, 16 and 23 qubits are the
+    # first sizes whose top row has a second, third and fourth chunk
     rng = np.random.default_rng(7000 + n)
+    assert_sign_vector_matches_reference(gr.new_empty(n))
     for _ in range(2):
         assert_sign_vector_matches_reference(random_graph(rng, n))
     if n <= 16:
         assert_sign_vector_matches_reference(gr.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
-        assert_sign_vector_matches_reference(gr.new_empty(n))
+    else:  # sparse: many rows with empty chunks
+        for _ in range(2):
+            pairs = {tuple(sorted(int(v) for v in rng.choice(n, 2, replace=False))) for _ in range(n)}
+            assert_sign_vector_matches_reference(gr.from_edges(n, pairs))
+
+
+@pytest.mark.parametrize("n", [2, 9, 16, 23])
+def test_sign_vector_changes_when_one_lower_bit_flips(n):
+    # negative control: toggling U[j, i] negates every x with bits i and j set;
+    # j runs over the first bit of each chunk of the top row
+    rng = np.random.default_rng(7100 + n)
+    lower = lower_rows(random_graph(rng, n))
+    base = sv._sign_vector(n, lower)
+    for j in range(0, n - 1, 7):
+        flipped = lower.copy()
+        flipped[n - 1] ^= 1 << j
+        assert not np.array_equal(sv._sign_vector(n, flipped), base), j
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -242,6 +242,15 @@ def test_shared_neighborhood_scan_passes_only_with_every_case_checked(monkeypatc
     assert rep.details["cases_checked"] == 1 and not rep.passed
 
 
+def test_shared_neighborhood_scan_checks_the_cap_before_any_draw(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gr, "random_graph", lambda *a: calls.append(a))
+    monkeypatch.setattr(sv, "graph_state", lambda *a: calls.append(a))
+    with pytest.raises(TooManyQubitsError, match="^8 qubits exceeds the cap of 5$"):
+        sv.scan_theorem1_shared_neighbors(max_qubits=5)
+    assert calls == []
+
+
 def test_shared_neighborhood_scan_records_outcome():
     rep = sv.scan_theorem1_shared_neighbors(trials=30, seed=0)
     assert rep.passed  # every case asked for was found and checked
@@ -296,7 +305,7 @@ def test_fresh_buffers_are_not_copied_again():
     runs = {
         "plus_state": lambda: sv.plus_state(n),
         "graph_state": lambda: sv.graph_state(gr.cycle(n)),
-        # past 14 qubits the sign vector is gathered from a 32 KB table of Walsh rows
+        # every edge at every qubit: the sign vector's Walsh rows have no empty chunk
         "graph_state, complete graph": lambda: sv.graph_state(complete),
         "apply_gates, CZ run": lambda: sv.apply_gates(base, [sv.Gate.cz(0, 5), sv.Gate.cz(2, 9)]),
         "apply_gates, one H": lambda: sv.apply_gates(base, [sv.Gate.h(3)]),
