@@ -86,14 +86,14 @@ def _parse_graph_spec(spec: str) -> gr.Graph:
 
 
 def _parse_op(op: str) -> tuple[int, ...]:
-    """The LC vertices of one operation: lc:V is (V,), elc:A,B is (A, B, A)."""
+    """The vertices of one operation: lc:V is (V,), elc:A,B is (A, B)."""
     kind, sep, arg = op.partition(":")
     try:
         if kind == "lc" and sep:
             return (int(arg),)
         if kind == "elc" and sep:
             a, b = arg.split(",")
-            return int(a), int(b), int(a)
+            return int(a), int(b)
     except ValueError:
         pass
     raise GselcError(f"bad operation {op!r}; expected lc:V or elc:A,B")
@@ -112,13 +112,13 @@ def cmd_apply(args: argparse.Namespace) -> int:
     steps = []
     for op in args.ops:
         vertices = _parse_op(op)
-        elc = len(vertices) == 3
-        if elc and not g.has_edge(*vertices[:2]):
-            raise gr.NotAnEdgeError(f"{{{vertices[0]}, {vertices[1]}}} is not an edge")
-        # an ELC is traced as its literal three-LC decomposition
-        for vertex in vertices:
-            g = gr.local_complement(g, vertex)
-            steps.append({"op": f"lc:{vertex}" if elc else op, "graph": _graph_doc(g)})
+        if len(vertices) == 2:  # an ELC is traced as its literal three-LC decomposition
+            lcs = []
+            g = gr.elc_via_lcs(g, *vertices, lcs)
+            steps += [{"op": f"lc:{vertex}", "graph": _graph_doc(h)} for vertex, h in lcs]
+        else:
+            g = gr.local_complement(g, *vertices)
+            steps.append({"op": op, "graph": _graph_doc(g)})
     if args.trace:
         _emit(_dump_json({"steps": steps, "result": _graph_doc(g)}), args.out)
     else:

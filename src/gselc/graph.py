@@ -181,15 +181,19 @@ def local_complement(g: Graph, a: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def elc_via_lcs(g: Graph, a: int, b: int) -> Graph:
+def elc_via_lcs(g: Graph, a: int, b: int, steps: list | None = None) -> Graph:
     """Edge local complementation as the literal LC(a), LC(b), LC(a) composition.
 
     Reference path: the direct rule in :func:`edge_local_complement` is tested
-    against this.
+    against this. Each (vertex, graph) step is appended to ``steps`` if given.
     """
     if not g.has_edge(a, b):
         raise NotAnEdgeError(f"{{{a}, {b}}} is not an edge")
-    return local_complement(local_complement(local_complement(g, a), b), a)
+    for vertex in (a, b, a):
+        g = local_complement(g, vertex)
+        if steps is not None:
+            steps.append((vertex, g))
+    return g
 
 
 def edge_local_complement(g: Graph, a: int, b: int) -> Graph:

@@ -5,25 +5,32 @@ single-qubit Cliffords and CZ exactly, and checks the Hadamard-pair /
 edge-local-complementation identity, the local-complementation unitary with
 its residual Z gates, and stabilizer fixed points.
 
-Gates run in place: ``apply_gates`` copies its input once per gate list. Each
-run of consecutive CZs is XORed into bit rows and applied as one multiply by
-the int8 sign vector (-1)^(x^T U x) (``graph_state`` is 2^(-n/2) times it); a
-run that reduces to one CZ negates a strided view. ``_sign_vector`` doubles the
-vector once per qubit, multiplying in one row of the 128 x 128 Walsh table per
-7 bits, at a cost that does not grow with the edge count. A single-qubit gate
-walks the state in blocks of ``_BLOCK`` amplitude pairs, each product written
-into a two-block scratch made once per gate list, so a block and its scratch
-stay in cache and no half-size buffer is made. H runs as a butterfly, t0 = s*a0,
+Gates run one cache-sized tile at a time: ``apply_gates`` copies each tile of
+at least 2 * ``_BLOCK`` amplitudes in from its input and runs the whole gate
+list on it. A tile is widened until every single-qubit target lies inside it
+(qubit n-1: the whole vector). Each run of consecutive CZs is XORed into bit
+rows and applied as one multiply by the tile's slice of the int8 sign vector
+(-1)^(x^T U x) (``graph_state`` is 2^(-n/2) times it); a run that reduces to one
+CZ negates a strided view, and a CZ bit above the tile is read off the tile's
+first index. ``_sign_vector`` doubles the vector once per qubit, multiplying in
+one row of the 128 x 128 Walsh table per 7 bits, at a cost that does not grow
+with the edge count. A single-qubit gate walks its tile in blocks of ``_BLOCK``
+amplitude pairs through a two-block scratch. H runs as a butterfly, t0 = s*a0,
 t1 = s*a1, a0 = t0 + t1, a1 = t0 - t1: 4 passes instead of 7, and exact,
 because fl(-s*a1) = -fl(s*a1) and x + (-y) is x - y in IEEE arithmetic (on
-complex data only the sign of a zero part can differ). ``amp_distance`` also
-works block by block, with no 2^n temporary. The tests keep index-based
-reference kernels that these must match bit for bit.
+complex data only the sign of a zero part can differ). Every amplitude gets the
+same operations in the same order whatever the tiling, so results keep their
+bits. ``_streamed_distance`` walks two gate lists over the same tiles and keeps
+only the largest deviation and the norms, so it makes neither 2^n state;
+``amp_distance`` and ``equal_up_to_global_phase`` work block by block with no
+2^n temporary. The tests keep index-based reference kernels that these must
+match bit for bit.
 
-Amplitudes stay float64 while they are all real: ``plus_state`` and
-``graph_state`` return float64, and ``apply_gates`` keeps float64 when every
-gate of the list is real (H, X, Z, CZ), else it promotes its copy once to
-complex128. This is exact: for a real matrix entry c and a real amplitude x the
+Amplitudes stay float64 while they are all real: ``plus_state`` (a read-only
+zero-stride view of 2^(-n/2), which allocates nothing) and ``graph_state``
+return float64, and ``apply_gates`` keeps float64 when every gate of the list
+is real (H, X, Z, CZ), else it promotes each tile to complex128 as it copies it
+in. This is exact: for a real matrix entry c and a real amplitude x the
 complex product (c+0j)(x+0j) has real part c*x - 0*0, the float64 product, and
 an imaginary part of +-0. The public ``StateVector(n, amps)`` stores complex128.
 
@@ -168,9 +175,13 @@ class StateVector:
             raise SizeMismatchError(
                 f"expected {1 << self.n_qubits} amplitudes, got shape {self.amps.shape}"
             )
-        if not abs(float(np.vdot(self.amps, self.amps).real) - 1.0) <= 1e-9:
-            raise ValueError("state vector is not normalized")
+        _check_norm(float(np.vdot(self.amps, self.amps).real))
         self.amps.setflags(write=False)
+
+
+def _check_norm(squared: float) -> None:
+    if not abs(squared - 1.0) <= 1e-9:
+        raise ValueError("state vector is not normalized")
 
 
 def _check_cap(n: int, max_qubits: int) -> None:
@@ -181,9 +192,9 @@ def _check_cap(n: int, max_qubits: int) -> None:
 
 
 def plus_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """|+>^n, the blank slate every graph state starts from."""
+    """|+>^n, the blank slate every graph state starts from: a read-only zero-stride view."""
     _check_cap(n, max_qubits)
-    return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2)), _owned=True)
+    return StateVector(n, np.broadcast_to(2.0 ** (-n / 2), 1 << n), _owned=True)
 
 
 def _single_qubit_inplace(amps: np.ndarray, q: int, entries, scratch, butterfly: bool) -> None:
@@ -247,42 +258,82 @@ def graph_state(g: Graph, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     return StateVector(g.n, amps, _owned=True)
 
 
-def apply_gates(sv: StateVector, gates) -> StateVector:
-    """Exact unitary action of a gate list, run in order on one private copy.
+def _plan(sv: StateVector, gates) -> tuple[list[tuple], type, int]:
+    """A gate list as tile operations, their dtype, and the smallest tile that runs them.
 
-    Every target is checked before any work; the input state is never written.
-    The copy stays float64 when the input is float64 and every gate is real
-    (H, X, Z, CZ); otherwise it is promoted once to complex128.
+    Targets are checked first. The dtype is float64 for a float64 input and real
+    gates (H, X, Z, CZ), else complex128. Every single-qubit target lies inside
+    the tile: the kernel pairs amplitudes 2^q apart, Z and sqrt(iZ) included. A
+    run of CZs is XORed into bit rows: pairs that cancel leave nothing, one pair
+    stays a lone CZ, and more become one int8 sign vector, shared by every tile.
     """
     gates = list(gates)
     n = sv.n_qubits
+    real = sv.amps.dtype == np.float64
     for gate in gates:
         for t in gate.targets:
             if not 0 <= t < n:
                 raise VertexRangeError(f"target {t} out of range for {n} qubits")
-    real = sv.amps.dtype == np.float64 and all(
-        gate.kind is GateKind.CZ or gate.kind in _REAL for gate in gates
-    )
+        if gate.kind is not GateKind.CZ and gate.kind not in _REAL:
+            real = False
     entries = _REAL if real else _ENTRIES
-    amps = sv.amps.astype(np.float64 if real else complex)
-    single = any(gate.kind is not GateKind.CZ for gate in gates)
-    scratch = np.empty((2, min(1 << (n - 1), _BLOCK)), dtype=amps.dtype) if single else None
+    ops = []
+    top = 0
     for is_cz, run in groupby(gates, key=lambda gate: gate.kind is GateKind.CZ):
         if not is_cz:
             for gate in run:
-                h = gate.kind is GateKind.H
-                _single_qubit_inplace(amps, gate.targets[0], entries[gate.kind], scratch, h)
+                q = gate.targets[0]
+                top = q if q > top else top
+                ops.append(("gate", q, entries[gate.kind], gate.kind is GateKind.H))
             continue
-        lower = [0] * n  # the run as bit rows: a repeated pair cancels
+        lower = [0] * n
         for gate in run:
             lower[max(gate.targets)] ^= 1 << min(gate.targets)
         pairs = [(j, i) for i, row in enumerate(lower) if row for j in mask_vertices(row)]
-        if len(pairs) == 1:  # one CZ: negate a strided view
-            (lo, hi), = pairs
-            amps.reshape(1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)[:, 1, :, 1, :] *= -1
+        if len(pairs) == 1:
+            ops.append(("cz", *pairs[0]))
         elif pairs:
-            amps *= _sign_vector(n, lower)
-    return StateVector(n, amps, _owned=True)
+            ops.append(("sign", _sign_vector(n, lower)))
+    return ops, np.float64 if real else complex, min(1 << n, max(2 * _BLOCK, 2 << top))
+
+
+def _run_tile(src: np.ndarray, ops: list[tuple], tile: np.ndarray, start: int, scratch) -> None:
+    """Copy ``src[start : start + tile.size]`` into ``tile`` and run the ops on it, in order.
+
+    Each amplitude gets the same operations as in a whole-vector run. A CZ bit
+    at or above the tile's width is fixed over the tile and read off ``start``.
+    """
+    tile[...] = src[start : start + tile.size]
+    for op in ops:
+        if op[0] == "gate":
+            _single_qubit_inplace(tile, op[1], op[2], scratch, op[3])
+        elif op[0] == "sign":
+            tile *= op[1][start : start + tile.size]
+        else:
+            _, lo, hi = op
+            width = tile.size.bit_length() - 1
+            if hi < width:
+                tile.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)[:, 1, :, 1, :] *= -1
+            elif start >> hi & 1:
+                if lo < width:
+                    tile.reshape(-1, 2, 1 << lo)[:, 1, :] *= -1
+                elif start >> lo & 1:
+                    tile *= -1
+
+
+def apply_gates(sv: StateVector, gates) -> StateVector:
+    """Exact unitary action of a gate list: each tile of the result runs the whole list in turn.
+
+    Every target is checked before any work; the input state is never written.
+    The result is float64 when the input is float64 and every gate is real (H,
+    X, Z, CZ), otherwise complex128.
+    """
+    ops, dtype, size = _plan(sv, gates)
+    amps = np.empty(sv.amps.size, dtype)
+    scratch = np.empty((2, min(size // 2, _BLOCK)), dtype)
+    for start in range(0, amps.size, size):
+        _run_tile(sv.amps, ops, amps[start : start + size], start, scratch)
+    return StateVector(sv.n_qubits, amps, _owned=True)
 
 
 def _check_same_size(a: StateVector, b: StateVector) -> None:
@@ -290,17 +341,54 @@ def _check_same_size(a: StateVector, b: StateVector) -> None:
         raise SizeMismatchError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
 
 
+def _max_deviation(a: np.ndarray, b: np.ndarray, lam=None) -> float:
+    """max |a - lam b| (lam None: max |a - b|), block by block, reusing the first block's buffers."""
+    step = min(a.size, 2 * _BLOCK)
+    diff = mags = None
+    worst = 0.0
+    for i in range(0, a.size, step):
+        rhs = b[i : i + step]
+        if lam is not None:
+            rhs = diff = np.multiply(lam, rhs, out=diff)
+        diff = np.subtract(a[i : i + step], rhs, out=diff)
+        mags = np.abs(diff, out=mags)
+        worst = mags.max(initial=worst)  # a NaN stays NaN, as in one max over all
+    return float(worst)
+
+
 def amp_distance(a: StateVector, b: StateVector) -> float:
     """Largest component-wise amplitude deviation."""
     _check_same_size(a, b)
-    size = a.amps.size
-    step = min(size, 2 * _BLOCK)
-    diff = mags = None  # made by the first block, reused by the others
+    return _max_deviation(a.amps, b.amps)
+
+
+def _streamed_distance(a: StateVector, a_gates, b: StateVector, b_gates) -> float:
+    """``amp_distance(apply_gates(a, a_gates), apply_gates(b, b_gates))``, making neither state.
+
+    The two lists walk the same tiles, the wider of their two, side by side;
+    each tile pair adds to the running maximum and to both squared norms, which
+    are then checked as ``StateVector`` checks them.
+    """
+    _check_same_size(a, b)
+    plans = [_plan(a, a_gates), _plan(b, b_gates)]
+    size = max(tile for _, _, tile in plans)
+    walks = [
+        (sv.amps, ops, np.empty(size, dtype), np.empty((2, min(size // 2, _BLOCK)), dtype))
+        for sv, (ops, dtype, _) in zip((a, b), plans)
+    ]
+    ta, tb = walks[0][2], walks[1][2]
+    diff_out = ta if ta.dtype == np.result_type(ta, tb) else None  # in place if a - b fits
     worst = 0.0
-    for i in range(0, size, step):
-        diff = np.subtract(a.amps[i : i + step], b.amps[i : i + step], out=diff)
-        mags = np.abs(diff, out=mags)
-        worst = mags.max(initial=worst)  # a NaN stays NaN, as in one max over all
+    norms = [0.0, 0.0]
+    for start in range(0, a.amps.size, size):
+        for i, (src, ops, tile, scratch) in enumerate(walks):
+            _run_tile(src, ops, tile, start, scratch)
+            norms[i] += float(np.vdot(tile, tile).real)
+        diff = np.subtract(ta, tb, out=diff_out)
+        mags = np.abs(diff, out=diff if diff.dtype == np.float64 else None)
+        worst = mags.max(initial=worst)
+    for norm in norms:
+        _check_norm(norm)
     return float(worst)
 
 
@@ -314,17 +402,25 @@ def equal_up_to_global_phase(
 ) -> tuple[bool, complex]:
     """Best unit phase lambda for a ~ lambda * b, and whether the residual fits tol.
 
-    The phase is read off the largest-magnitude component of b; near-orthogonal
-    states make that ill-conditioned, but then the residual fails anyway.
+    The phase is read off the first largest-magnitude component of b;
+    near-orthogonal states make that ill-conditioned, but then the residual
+    fails anyway. Both passes go block by block, with no 2^n temporary.
     """
     _check_same_size(a, b)
-    k = int(np.argmax(np.abs(b.amps)))
+    step = min(b.amps.size, 2 * _BLOCK)
+    mags = np.empty(step)
+    k, top = 0, -1.0
+    for i in range(0, b.amps.size, step):
+        np.abs(b.amps[i : i + step], out=mags)
+        j = int(mags.argmax())
+        if mags[j] > top:  # strictly: an earlier block wins a tie, as in np.argmax
+            k, top = i + j, mags[j]
     lam = a.amps[k] * np.conj(b.amps[k])
     mag = abs(lam)
     if mag == 0.0:
         return False, 1 + 0j
     lam /= mag
-    ok = float(np.max(np.abs(a.amps - lam * b.amps))) <= tol
+    ok = _max_deviation(a.amps, b.amps, lam) <= tol
     return ok, complex(lam)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -276,3 +278,59 @@ def test_over_cap_builds_fail_before_recording_a_gate(build, monkeypatch):
     monkeypatch.setattr(enc.CircuitLog, "append", no_recording)
     with pytest.raises(TooManyQubitsError, match="exceeds the cap of 20"):
         build(10**5)
+
+
+@pytest.mark.parametrize("n_logical", [2, 4])
+def test_streamed_comparison_equals_amp_distance_of_both_builds(n_logical):
+    rep, direct_log, elc_log = enc.build_logical_cluster(n_logical)
+    direct, direct_built = enc.build_direct(n_logical)
+    shortcut, elc_built = enc.build_elc(n_logical)
+    assert (direct_log.gates, elc_log.gates) == (direct_built.gates, elc_built.gates)
+    diff = sv.amp_distance(direct, shortcut)
+    assert rep.passed
+    assert rep.details["max_amp_diff"] == diff  # the same bits: a maximum of the same exact values
+    assert rep.details["direct"]["max_amp_diff"] == rep.details["elc"]["max_amp_diff"] == diff
+
+
+def test_streamed_comparison_fails_without_one_pentagon_cz(monkeypatch):
+    # negative control: the shortcut log less its last pentagon CZ makes a different state
+    record = enc._record_elc
+
+    def short_one(n_logical):
+        log = record(n_logical)
+        last = max(i for i, tag in enumerate(log.tags) if tag == "pentagon")
+        del log.gates[last], log.tags[last]
+        return log
+
+    monkeypatch.setattr(enc, "_record_elc", short_one)
+    rep, _, _ = enc.build_logical_cluster(2)
+    assert not rep.passed
+    assert rep.details["max_amp_diff"] > 1e-3  # amplitudes are 2^-5: whole sign flips
+    assert rep.details["elc"]["equal_to_reference"] is False
+
+
+def test_streamed_comparison_checks_both_norms(monkeypatch):
+    # an H without its 1/sqrt(2) doubles the norm: the same error StateVector raises
+    monkeypatch.setitem(sv._REAL, sv.GateKind.H, (1.0, 1.0, 1.0, -1.0))
+    with pytest.raises(ValueError, match="not normalized"):
+        enc.build_logical_cluster(2)
+    with pytest.raises(ValueError, match="not normalized"):
+        enc.build_elc(2)
+    plus = sv.plus_state(3)
+    with pytest.raises(ValueError, match="not normalized"):
+        sv._streamed_distance(plus, [], plus, [sv.Gate.h(0)])
+    with pytest.raises(ValueError, match="not normalized"):
+        sv._streamed_distance(plus, [sv.Gate.h(0)], plus, [])
+
+
+def test_logical_cluster_build_makes_no_full_state():
+    # the parent build made both 20-qubit float64 states (8 MB each) and a copy
+    enc.build_logical_cluster(4)  # warm
+    tracemalloc.start()
+    try:
+        rep, _, _ = enc.build_logical_cluster(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 8 << 20

@@ -324,3 +324,17 @@ def test_graphs_are_immutable_values():
         g.n = 5
     assert g == gr.path(3)
     assert hash(g) == hash(gr.path(3))
+
+
+def test_elc_via_lcs_reports_its_three_steps():
+    g = gr.path(4)
+    steps = []
+    h = gr.elc_via_lcs(g, 1, 2, steps)
+    assert [vertex for vertex, _ in steps] == [1, 2, 1]
+    one = gr.local_complement(g, 1)
+    two = gr.local_complement(one, 2)
+    assert [graph for _, graph in steps] == [one, two, gr.local_complement(two, 1)]
+    assert steps[-1][1] == h == gr.edge_local_complement(g, 1, 2)
+    with pytest.raises(NotAnEdgeError):
+        gr.elc_via_lcs(g, 0, 2, steps)
+    assert len(steps) == 3  # nothing is reported for a non-edge

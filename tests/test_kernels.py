@@ -343,3 +343,84 @@ def test_h_and_sqrt_iz_on_every_target_at_17_qubits():
             for gate in (sv.Gate.h(q), sv.Gate.sqrt_iz(q)):
                 got = sv.apply_gates(state, [gate]).amps
                 assert np.array_equal(got, reference_run(state.amps.astype(complex), n, [gate])), gate.label()
+
+
+def bits(amps: np.ndarray) -> np.ndarray:
+    """The raw float64 words of a state: equal arrays have equal values and equal zero signs."""
+    return amps.view(np.float64).view(np.uint64)
+
+
+def assert_tiled_matches_reference(monkeypatch, state: sv.StateVector, gates, tile: int) -> None:
+    """The tile walk runs ``gates`` on tiles of ``tile`` amplitudes, matches the reference
+    kernels, and gives the bits of one whole-vector tile, zero signs included."""
+    n = state.n_qubits
+    assert sv._plan(state, gates)[2] == tile
+    got = sv.apply_gates(state, gates).amps
+    assert np.array_equal(got, reference_run(state.amps.astype(complex), n, gates))
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_BLOCK", 1 << n)  # one tile: the whole vector at once
+        assert sv._plan(state, gates)[2] == 1 << n
+        whole = sv.apply_gates(state, gates).amps
+    assert got.dtype == whole.dtype
+    assert np.array_equal(bits(got), bits(whole))
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_tile_walk_widens_for_single_qubit_targets(monkeypatch, n):
+    # tiles are 2^15 amplitudes unless a single-qubit target needs more
+    rng = np.random.default_rng(9000 + n)
+    low = 1 << 15
+    cases = [
+        ([sv.Gate.h(0), sv.Gate.x(14), sv.Gate.cz(3, 9), sv.Gate.h(14)], low),  # targets 0 and tile-1
+        ([sv.Gate.h(2), sv.Gate.h(15), sv.Gate.cz(0, 15)], 2 * low),  # a target at the tile
+        ([sv.Gate.z(16), sv.Gate.h(1)], 4 * low),  # Z pairs amplitudes like any single-qubit gate
+        ([sv.Gate.cz(1, 2), sv.Gate.sqrt_minus_ix(n - 1), sv.Gate.h(0)], 1 << n),  # target n-1
+    ]
+    for state in (real_state(rng, n), random_state(rng, n)):
+        for gates, tile in cases:
+            assert_tiled_matches_reference(monkeypatch, state, gates, tile)
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_tile_walk_lone_cz_inside_and_outside_the_tile(monkeypatch, n):
+    # a lone CZ bit at or above the tile's 15 bits is read off the tile's start
+    rng = np.random.default_rng(9100 + n)
+    h = sv.Gate.h(3)
+    pairs = [(2, 9), (0, 14), (3, 15), (14, n - 1), (15, 16), (16, n - 1)]
+    for state in (real_state(rng, n), random_state(rng, n)):
+        for a, b in pairs:
+            if a != b:
+                for gates in ([sv.Gate.cz(a, b)], [h, sv.Gate.cz(b, a), h]):
+                    assert_tiled_matches_reference(monkeypatch, state, gates, 1 << 15)
+        # fused runs of several pairs multiply each tile by its slice of the sign vector
+        run = [sv.Gate.cz(a, b) for a, b in pairs if a != b]
+        assert_tiled_matches_reference(monkeypatch, state, run + [h] + run[:2], 1 << 15)
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_tile_walk_promotes_each_tile_once(monkeypatch, n):
+    # a float64 input and one complex gate: every tile is cast as it is copied in,
+    # and the zero signs are those of one whole-vector run
+    rng = np.random.default_rng(9200 + n)
+    gates = [sv.Gate.cz(0, 16), sv.Gate.cz(2, 5), sv.Gate.h(1), sv.Gate.sqrt_iz(4)]
+    gates += [sv.Gate.cz(1, 15), sv.Gate.h(14)]
+    for state in (sv.plus_state(n), real_state(rng, n), sv.graph_state(random_graph(rng, n))):
+        assert state.amps.dtype == np.float64
+        assert_tiled_matches_reference(monkeypatch, state, gates, 1 << 15)
+        assert sv.apply_gates(state, gates).amps.dtype == np.complex128
+
+
+def test_plus_state_is_a_read_only_zero_stride_view():
+    n = 18
+    plus = sv.plus_state(n)
+    assert plus.amps.dtype == np.float64
+    assert plus.amps.shape == (1 << n,) and plus.amps.strides == (0,)
+    assert not plus.amps.flags.writeable
+    assert np.array_equal(plus.amps, np.full(1 << n, 2.0 ** (-n / 2)))
+    gates = [sv.Gate.h(0), sv.Gate.cz(1, 17), sv.Gate.h(16), sv.Gate.sqrt_minus_ix(2)]
+    out = sv.apply_gates(plus, gates)
+    assert np.array_equal(out.amps, reference_run(np.full(1 << n, 2.0 ** (-n / 2), dtype=complex), n, gates))
+    assert np.array_equal(plus.amps, np.full(1 << n, 2.0 ** (-n / 2)))
+    assert out.amps.strides == (16,) and not np.shares_memory(out.amps, plus.amps)
+    with pytest.raises(ValueError):
+        plus.amps[0] = 1.0

@@ -376,3 +376,42 @@ def test_comparisons_do_not_depend_on_dtype():
         assert len({sv.amp_distance(x, y) for x, y in mixes}) == 1
         assert len({sv.equal_up_to_global_phase(x, y) for x, y in mixes}) == 1
     assert sv.equal_up_to_global_phase(pairs[2][0], minus) == (True, -1)
+
+
+def reference_phase(a: sv.StateVector, b: sv.StateVector, tol: float) -> tuple[bool, complex]:
+    """The whole-vector form: phase from the first largest |b_k|, then one residual."""
+    k = int(np.argmax(np.abs(b.amps)))
+    lam = a.amps[k] * np.conj(b.amps[k])
+    lam /= abs(lam)
+    return float(np.max(np.abs(a.amps - lam * b.amps))) <= tol, complex(lam)
+
+
+@pytest.mark.parametrize("block", [1, 2, 1 << 14])
+def test_global_phase_takes_the_first_largest_amplitude(monkeypatch, block):
+    # two amplitudes of the largest magnitude, in one block or in two; a flips the
+    # sign of the second, so the phase read off the second would be -1, not 1
+    monkeypatch.setattr(sv, "_BLOCK", block)
+    for first, second in ((2, 5), (4, 5), (0, 7), (6, 7)):
+        amps = np.full(8, np.sqrt(0.5 / 6), dtype=complex)
+        amps[first], amps[second] = 0.5, 0.5j
+        b = state_of(amps)
+        amps[second] *= -1
+        a = state_of(amps)
+        got = sv.equal_up_to_global_phase(a, b, 1e-9)
+        assert got == reference_phase(a, b, 1e-9) == (False, 1 + 0j), (first, second)
+
+
+def test_global_phase_makes_no_full_size_temporary():
+    # a few blocks of buffers; the whole-vector form made four 2^n temporaries
+    n = 20
+    base = sv.graph_state(gr.path(n))
+    twisted = sv.apply_gates(base, [sv.Gate.sqrt_iz(0)])
+    tracemalloc.start()
+    try:
+        for a, b in ((base, base), (twisted, base), (base, twisted)):
+            tracemalloc.reset_peak()
+            got = sv.equal_up_to_global_phase(a, b)
+            assert tracemalloc.get_traced_memory()[1] < 0.3 * base.amps.nbytes, (a.amps.dtype, b.amps.dtype)
+            assert got == reference_phase(a, b, 1e-9)
+    finally:
+        tracemalloc.stop()
