@@ -119,10 +119,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
         else:
             g = gr.local_complement(g, *vertices)
             steps.append({"op": op, "graph": _graph_doc(g)})
-    if args.trace:
-        _emit(_dump_json({"steps": steps, "result": _graph_doc(g)}), args.out)
-    else:
-        _emit(gr.to_json(g) + "\n", args.out)
+    text = _dump_json({"steps": steps, "result": _graph_doc(g)}) if args.trace else gr.to_json(g) + "\n"
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -253,6 +251,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
     if args.trials is not None and args.trials < 1:
         raise GselcError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed is not None and args.seed < 0:
+        raise GselcError(f"--seed must be non-negative, got {args.seed}")
     name, sep, arg = suite.partition(":")
     if name not in SUITES or (name == "chain") != bool(sep):
         raise GselcError(

@@ -8,13 +8,13 @@ its residual Z gates, and stabilizer fixed points.
 Gates run one cache-sized tile at a time: ``apply_gates`` copies each tile of
 at least 2 * ``_BLOCK`` amplitudes in from its input and runs the whole gate
 list on it. A tile is widened until every single-qubit target lies inside it
-(qubit n-1: the whole vector). Each run of consecutive CZs is XORed into bit
-rows and applied as one multiply by the tile's slice of the int8 sign vector
-(-1)^(x^T U x) (``graph_state`` is 2^(-n/2) times it); a run that reduces to one
-CZ negates a strided view, and a CZ bit above the tile is read off the tile's
-first index. ``_sign_vector`` doubles the vector once per qubit, multiplying in
-one row of the 128 x 128 Walsh table per 7 bits, at a cost that does not grow
-with the edge count. A single-qubit gate walks its tile in blocks of ``_BLOCK``
+(qubit n-1: the whole vector). Each run of consecutive CZs, one pair or many,
+is XORed into bit rows and applied as one multiply by the tile's slice of the
+int8 sign vector (-1)^(x^T U x) (``graph_state`` is 2^(-n/2) times it).
+``_sign_vector`` doubles the vector once per qubit, copying the signs so far
+for a qubit with no lower partner and else multiplying in one row of the
+128 x 128 Walsh table per 7 bits, at a cost that does not grow with the edge
+count. A single-qubit gate walks its tile in blocks of ``_BLOCK``
 amplitude pairs through a two-block scratch. H runs as a butterfly, t0 = s*a0,
 t1 = s*a1, a0 = t0 + t1, a1 = t0 - t1: 4 passes instead of 7, and exact,
 because fl(-s*a1) = -fl(s*a1) and x + (-y) is x - y in IEEE arithmetic (on
@@ -239,6 +239,9 @@ def _sign_vector(n: int, lower: list[int]) -> np.ndarray:
     sign = np.empty(1 << n, dtype=np.int8)
     sign[0] = 1
     for i, row in enumerate(lower):
+        if not row:  # an all-ones row: the new half is a copy of the signs so far
+            sign[1 << i : 2 << i] = sign[: 1 << i]
+            continue
         walsh = _WALSH[row & _MASK, : 1 << min(i, _LOW)]
         if i > _LOW:
             walsh = np.multiply.outer(_WALSH[(row >> _LOW) & _MASK, : 1 << min(i - _LOW, _LOW)], walsh).ravel()
@@ -264,8 +267,8 @@ def _plan(sv: StateVector, gates) -> tuple[list[tuple], type, int]:
     Targets are checked first. The dtype is float64 for a float64 input and real
     gates (H, X, Z, CZ), else complex128. Every single-qubit target lies inside
     the tile: the kernel pairs amplitudes 2^q apart, Z and sqrt(iZ) included. A
-    run of CZs is XORed into bit rows: pairs that cancel leave nothing, one pair
-    stays a lone CZ, and more become one int8 sign vector, shared by every tile.
+    run of CZs is XORed into bit rows: pairs that cancel leave nothing, and any
+    other run becomes one int8 sign vector, shared by every tile.
     """
     gates = list(gates)
     n = sv.n_qubits
@@ -289,10 +292,7 @@ def _plan(sv: StateVector, gates) -> tuple[list[tuple], type, int]:
         lower = [0] * n
         for gate in run:
             lower[max(gate.targets)] ^= 1 << min(gate.targets)
-        pairs = [(j, i) for i, row in enumerate(lower) if row for j in mask_vertices(row)]
-        if len(pairs) == 1:
-            ops.append(("cz", *pairs[0]))
-        elif pairs:
+        if any(lower):
             ops.append(("sign", _sign_vector(n, lower)))
     return ops, np.float64 if real else complex, min(1 << n, max(2 * _BLOCK, 2 << top))
 
@@ -300,25 +300,14 @@ def _plan(sv: StateVector, gates) -> tuple[list[tuple], type, int]:
 def _run_tile(src: np.ndarray, ops: list[tuple], tile: np.ndarray, start: int, scratch) -> None:
     """Copy ``src[start : start + tile.size]`` into ``tile`` and run the ops on it, in order.
 
-    Each amplitude gets the same operations as in a whole-vector run. A CZ bit
-    at or above the tile's width is fixed over the tile and read off ``start``.
+    An op is a single-qubit gate or a CZ run's sign vector, sliced to the tile.
     """
     tile[...] = src[start : start + tile.size]
     for op in ops:
         if op[0] == "gate":
             _single_qubit_inplace(tile, op[1], op[2], scratch, op[3])
-        elif op[0] == "sign":
-            tile *= op[1][start : start + tile.size]
         else:
-            _, lo, hi = op
-            width = tile.size.bit_length() - 1
-            if hi < width:
-                tile.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)[:, 1, :, 1, :] *= -1
-            elif start >> hi & 1:
-                if lo < width:
-                    tile.reshape(-1, 2, 1 << lo)[:, 1, :] *= -1
-                elif start >> lo & 1:
-                    tile *= -1
+            tile *= op[1][start : start + tile.size]
 
 
 def apply_gates(sv: StateVector, gates) -> StateVector:

@@ -427,6 +427,13 @@ def test_verify_rejects_trials_below_one(capsys, suite, trials):
     assert err.startswith("error:") and "--trials" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suite", ["theorem1", "stabilizers"])
+def test_verify_rejects_a_negative_seed(capsys, suite):
+    # checked with --trials, so the message names the flag rather than numpy's generator
+    code, out, err = run_cli(capsys, "verify", suite, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: --seed must be non-negative, got -1\n")
+
+
 @pytest.mark.parametrize(
     "exc, message",
     [

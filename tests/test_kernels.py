@@ -98,6 +98,10 @@ def test_sign_vector_matches_doubling_reference(n):
     # first sizes whose top row has a second, third and fourth chunk
     rng = np.random.default_rng(7000 + n)
     assert_sign_vector_matches_reference(gr.new_empty(n))
+    # one pair: every other row is empty and copies the signs so far, below the
+    # set row for (j, n-1), above it for (0, 1); j starts each chunk of the top row
+    for pair in [(0, 1)] * (n >= 2) + [(j, n - 1) for j in range(0, n - 1, 7)]:
+        assert_sign_vector_matches_reference(gr.from_edges(n, [pair]))
     for _ in range(2):
         assert_sign_vector_matches_reference(random_graph(rng, n))
     if n <= 16:
@@ -383,7 +387,8 @@ def test_tile_walk_widens_for_single_qubit_targets(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [17, 18])
 def test_tile_walk_lone_cz_inside_and_outside_the_tile(monkeypatch, n):
-    # a lone CZ bit at or above the tile's 15 bits is read off the tile's start
+    # one pair, with its bits inside or above the tile's 15 bits, is a sign vector
+    # like any CZ run: each tile multiplies by its own slice
     rng = np.random.default_rng(9100 + n)
     h = sv.Gate.h(3)
     pairs = [(2, 9), (0, 14), (3, 15), (14, n - 1), (15, 16), (16, n - 1)]

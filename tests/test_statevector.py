@@ -308,6 +308,8 @@ def test_fresh_buffers_are_not_copied_again():
         # every edge at every qubit: the sign vector's Walsh rows have no empty chunk
         "graph_state, complete graph": lambda: sv.graph_state(complete),
         "apply_gates, CZ run": lambda: sv.apply_gates(base, [sv.Gate.cz(0, 5), sv.Gate.cz(2, 9)]),
+        # a lone CZ is a one-pair sign vector, with the bytes of a CZ run: about 1.28x
+        "apply_gates, one CZ": lambda: sv.apply_gates(base, [sv.Gate.cz(1, 7)]),
         "apply_gates, one H": lambda: sv.apply_gates(base, [sv.Gate.h(3)]),
         "apply_gates, one sqrt(iZ)": lambda: sv.apply_gates(base, [sv.Gate.sqrt_iz(3)]),
     }
