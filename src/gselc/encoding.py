@@ -10,9 +10,9 @@ lets the Hadamards inside the encoders do the rest.
 Every build makes its |+> start state first, which checks the qubit cap, then
 records its gates in a CircuitLog and runs them once with ``apply_gates``, so
 gate-count claims are audited against the exact states those gates produce.
-``build_logical_cluster`` records both logs the same way but runs them side by
-side over cache-sized tiles, keeping only the largest deviation and the norms,
-so neither 2^n state is made.
+``build_logical_cluster`` checks the cap and records both logs the same way,
+then runs them side by side on |+>^n over cache-sized tiles, keeping only the
+largest deviation and the norms, so neither 2^n state is made.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .statevector import (
     Gate,
     GateKind,
     StateVector,
+    _check_cap,
     _streamed_distance,
     amp_distance,
     apply_gates,
@@ -237,10 +238,11 @@ def build_logical_cluster(
     ``amp_distance`` of ``build_direct`` and ``build_elc`` bit for bit.
     """
     _check_chain_length(n_logical)
-    plus = plus_state(BLOCK_SIZE * n_logical, max_qubits)
+    n_qubits = BLOCK_SIZE * n_logical
+    _check_cap(n_qubits, max_qubits)
     direct_log, elc_log = _record_direct(n_logical), _record_elc(n_logical)
-    diff = _streamed_distance(plus, direct_log.gates, plus, elc_log.gates)
-    details = {"n_logical": n_logical, "n_qubits": BLOCK_SIZE * n_logical, "max_amp_diff": diff, "tol": tol}
+    diff = _streamed_distance(n_qubits, direct_log.gates, elc_log.gates)
+    details = {"n_logical": n_logical, "n_qubits": n_qubits, "max_amp_diff": diff, "tol": tol}
     for name, log in (("direct", direct_log), ("elc", elc_log)):
         details[name] = {
             "construction": name,

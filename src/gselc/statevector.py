@@ -15,16 +15,21 @@ int8 sign vector (-1)^(x^T U x) (``graph_state`` is 2^(-n/2) times it).
 for a qubit with no lower partner and else multiplying in one row of the
 128 x 128 Walsh table per 7 bits, at a cost that does not grow with the edge
 count. A single-qubit gate walks its tile in blocks of ``_BLOCK``
-amplitude pairs through a two-block scratch. H runs as a butterfly, t0 = s*a0,
-t1 = s*a1, a0 = t0 + t1, a1 = t0 - t1: 4 passes instead of 7, and exact,
-because fl(-s*a1) = -fl(s*a1) and x + (-y) is x - y in IEEE arithmetic (on
-complex data only the sign of a zero part can differ). Every amplitude gets the
-same operations in the same order whatever the tiling, so results keep their
-bits. ``_streamed_distance`` walks two gate lists over the same tiles and keeps
-only the largest deviation and the norms, so it makes neither 2^n state;
-``amp_distance`` and ``equal_up_to_global_phase`` work block by block with no
-2^n temporary. The tests keep index-based reference kernels that these must
-match bit for bit.
+amplitude pairs through a two-block scratch, allocated only for a list that
+has one. H runs as a butterfly, t0 = s*a0, t1 = s*a1, a0 = t0 + t1,
+a1 = t0 - t1: 4 passes instead of 7, and exact, because fl(-s*a1) = -fl(s*a1)
+and x + (-y) is x - y in IEEE arithmetic (on complex data only the sign of a
+zero part can differ). On |+>^n every tile starts equal, so the list's leading
+ops that stay inside a tile (single-qubit gates, and CZ runs below the tile's
+top bit) run once, and each tile starts from a copy of their result. Every
+amplitude gets the same operations in the same order whatever the tiling, so
+results keep their bits. ``_streamed_distance`` walks two gate lists on |+>^n
+over the same tiles and keeps only the largest deviation and the norms, so it
+makes neither 2^n state; it first relabels the qubits of both lists alike, so
+that every single-qubit target sits high in a tile, where the kernel is
+fastest. ``amp_distance`` and ``equal_up_to_global_phase`` work block by block
+with no 2^n temporary. The tests keep index-based reference kernels that these
+must match bit for bit.
 
 Amplitudes stay float64 while they are all real: ``plus_state`` (a read-only
 zero-stride view of 2^(-n/2), which allocates nothing) and ``graph_state``
@@ -175,7 +180,10 @@ class StateVector:
             raise SizeMismatchError(
                 f"expected {1 << self.n_qubits} amplitudes, got shape {self.amps.shape}"
             )
-        _check_norm(float(np.vdot(self.amps, self.amps).real))
+        if self.amps.strides == (0,):  # one value repeated (plus_state): size * |value|^2
+            _check_norm(self.amps.size * abs(self.amps[0]) ** 2)
+        else:
+            _check_norm(float(np.vdot(self.amps, self.amps).real))
         self.amps.setflags(write=False)
 
 
@@ -268,7 +276,8 @@ def _plan(sv: StateVector, gates) -> tuple[list[tuple], type, int]:
     gates (H, X, Z, CZ), else complex128. Every single-qubit target lies inside
     the tile: the kernel pairs amplitudes 2^q apart, Z and sqrt(iZ) included. A
     run of CZs is XORed into bit rows: pairs that cancel leave nothing, and any
-    other run becomes one int8 sign vector, shared by every tile.
+    other run becomes one int8 sign vector, shared by every tile, with its
+    highest qubit.
     """
     gates = list(gates)
     n = sv.n_qubits
@@ -292,22 +301,49 @@ def _plan(sv: StateVector, gates) -> tuple[list[tuple], type, int]:
         lower = [0] * n
         for gate in run:
             lower[max(gate.targets)] ^= 1 << min(gate.targets)
-        if any(lower):
-            ops.append(("sign", _sign_vector(n, lower)))
+        hi = max((i for i, row in enumerate(lower) if row), default=None)
+        if hi is not None:
+            ops.append(("sign", _sign_vector(n, lower), hi))
     return ops, np.float64 if real else complex, min(1 << n, max(2 * _BLOCK, 2 << top))
 
 
 def _run_tile(src: np.ndarray, ops: list[tuple], tile: np.ndarray, start: int, scratch) -> None:
-    """Copy ``src[start : start + tile.size]`` into ``tile`` and run the ops on it, in order.
+    """Copy ``src`` into ``tile``, the tile at ``start``, and run the ops on it, in order.
 
     An op is a single-qubit gate or a CZ run's sign vector, sliced to the tile.
     """
-    tile[...] = src[start : start + tile.size]
+    tile[...] = src
     for op in ops:
         if op[0] == "gate":
             _single_qubit_inplace(tile, op[1], op[2], scratch, op[3])
         else:
             tile *= op[1][start : start + tile.size]
+
+
+def _walk(src: np.ndarray, ops: list[tuple], dtype, size: int, out: np.ndarray | None = None):
+    """Run planned ops over ``src`` one tile of ``size`` at a time, yielding each finished tile.
+
+    The tiles are ``out``'s own slices when it is given, else one reused buffer.
+    A zero-stride ``src`` (``plus_state``) starts every tile equal, and the
+    leading ops that act inside a tile keep them equal: single-qubit gates, and
+    sign vectors whose highest qubit is below the tile's bits. That prefix runs
+    once into a head tile, and each tile starts from a copy of it.
+    """
+    scratch = np.empty((2, min(size // 2, _BLOCK)), dtype) if any(op[0] == "gate" for op in ops) else None
+    k = 0
+    if src.strides == (0,):
+        bits = size.bit_length() - 1
+        while k < len(ops) and (ops[k][0] == "gate" or ops[k][2] < bits):
+            k += 1
+    head = None
+    if k:
+        head = np.empty(size, dtype)
+        _run_tile(src[:size], ops[:k], head, 0, scratch)
+    buf = np.empty(size, dtype) if out is None else None
+    for start in range(0, src.size, size):
+        tile = buf if out is None else out[start : start + size]
+        _run_tile(src[start : start + size] if head is None else head, ops[k:], tile, start, scratch)
+        yield tile
 
 
 def apply_gates(sv: StateVector, gates) -> StateVector:
@@ -319,9 +355,8 @@ def apply_gates(sv: StateVector, gates) -> StateVector:
     """
     ops, dtype, size = _plan(sv, gates)
     amps = np.empty(sv.amps.size, dtype)
-    scratch = np.empty((2, min(size // 2, _BLOCK)), dtype)
-    for start in range(0, amps.size, size):
-        _run_tile(sv.amps, ops, amps[start : start + size], start, scratch)
+    for _ in _walk(sv.amps, ops, dtype, size, amps):
+        pass
     return StateVector(sv.n_qubits, amps, _owned=True)
 
 
@@ -351,29 +386,36 @@ def amp_distance(a: StateVector, b: StateVector) -> float:
     return _max_deviation(a.amps, b.amps)
 
 
-def _streamed_distance(a: StateVector, a_gates, b: StateVector, b_gates) -> float:
-    """``amp_distance(apply_gates(a, a_gates), apply_gates(b, b_gates))``, making neither state.
+def _streamed_distance(n: int, a_gates, b_gates) -> float:
+    """``amp_distance`` of the two gate lists, each run on |+>^n, making neither state.
 
-    The two lists walk the same tiles, the wider of their two, side by side;
-    each tile pair adds to the running maximum and to both squared norms, which
-    are then checked as ``StateVector`` checks them.
+    The caller checks the qubit cap. |+>^n is invariant under any relabelling
+    of its qubits, and relabelling both results alike only permutes their
+    amplitudes, so both lists first move every single-qubit target to the top
+    bits of a 2^16-amplitude tile (4 * ``_BLOCK``; measured a little faster
+    than the smallest tile), where the kernel runs fastest. The lists then walk
+    the same tiles side by side; each tile pair adds to the running maximum and
+    to both squared norms, which are then checked as ``StateVector`` checks them.
     """
-    _check_same_size(a, b)
-    plans = [_plan(a, a_gates), _plan(b, b_gates)]
-    size = max(tile for _, _, tile in plans)
-    walks = [
-        (sv.amps, ops, np.empty(size, dtype), np.empty((2, min(size // 2, _BLOCK)), dtype))
-        for sv, (ops, dtype, _) in zip((a, b), plans)
+    plus = plus_state(n, max_qubits=n)
+    a_gates, b_gates = list(a_gates), list(b_gates)
+    singles = {gate.targets[0] for gate in a_gates + b_gates if gate.kind is not GateKind.CZ}
+    top = [q for q in range(n) if q in singles]
+    rest = [q for q in range(n) if q not in singles]
+    cut = max(min((4 * _BLOCK).bit_length() - 1, n) - len(top), 0)
+    # the other qubits keep their order; an out-of-range target stays, for _plan to reject
+    label = dict(zip(rest[:cut] + top + rest[cut:], range(n)))
+    plans = [
+        _plan(plus, [Gate(gate.kind, tuple(label.get(t, t) for t in gate.targets)) for gate in gates])
+        for gates in (a_gates, b_gates)
     ]
-    ta, tb = walks[0][2], walks[1][2]
-    diff_out = ta if ta.dtype == np.result_type(ta, tb) else None  # in place if a - b fits
+    size = max(tile for _, _, tile in plans)
     worst = 0.0
     norms = [0.0, 0.0]
-    for start in range(0, a.amps.size, size):
-        for i, (src, ops, tile, scratch) in enumerate(walks):
-            _run_tile(src, ops, tile, start, scratch)
-            norms[i] += float(np.vdot(tile, tile).real)
-        diff = np.subtract(ta, tb, out=diff_out)
+    for ta, tb in zip(*(_walk(plus.amps, ops, dtype, size) for ops, dtype, _ in plans)):
+        norms[0] += float(np.vdot(ta, ta).real)
+        norms[1] += float(np.vdot(tb, tb).real)
+        diff = np.subtract(ta, tb, out=ta if ta.dtype == np.result_type(ta, tb) else None)  # in place if it fits
         mags = np.abs(diff, out=diff if diff.dtype == np.float64 else None)
         worst = mags.max(initial=worst)
     for norm in norms:

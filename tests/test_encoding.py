@@ -316,11 +316,10 @@ def test_streamed_comparison_checks_both_norms(monkeypatch):
         enc.build_logical_cluster(2)
     with pytest.raises(ValueError, match="not normalized"):
         enc.build_elc(2)
-    plus = sv.plus_state(3)
     with pytest.raises(ValueError, match="not normalized"):
-        sv._streamed_distance(plus, [], plus, [sv.Gate.h(0)])
+        sv._streamed_distance(3, [], [sv.Gate.h(0)])
     with pytest.raises(ValueError, match="not normalized"):
-        sv._streamed_distance(plus, [sv.Gate.h(0)], plus, [])
+        sv._streamed_distance(3, [sv.Gate.h(0)], [])
 
 
 def test_logical_cluster_build_makes_no_full_state():

@@ -429,3 +429,77 @@ def test_plus_state_is_a_read_only_zero_stride_view():
     assert out.amps.strides == (16,) and not np.shares_memory(out.amps, plus.amps)
     with pytest.raises(ValueError):
         plus.amps[0] = 1.0
+
+
+def plus_prefix_cases(n: int, top: int) -> list[tuple[str, list[sv.Gate], int]]:
+    """Gate lists on |+>^n for tiles of 2^top amplitudes (a target on top-1 fixes the tile),
+    with the number of single-qubit gates in the prefix that runs once."""
+    h, z, cz, t = sv.Gate.h, sv.Gate.z, sv.Gate.cz, top - 1
+    return [
+        # the first sign vector reaches the qubit above the tile
+        ("empty", [cz(0, top), h(t), cz(1, 2), h(0)], 0),
+        ("whole list", [h(t), cz(0, 1), sv.Gate.x(0), cz(1, t), z(2), cz(0, 1)], 3),
+        # the run (1, 2), (2, top) has one qubit above the tile, so the prefix ends there
+        ("ends at a CZ above the tile", [cz(0, t), h(t), z(1), cz(1, 2), cz(2, top), h(0), cz(0, n - 1)], 2),
+        ("holds a complex gate", [h(0), sv.Gate.sqrt_iz(t), cz(0, 1), sv.Gate.sqrt_minus_ix(1), cz(2, n - 1), h(t)], 3),
+    ]
+
+
+def check_plus_prefix(monkeypatch, n: int) -> None:
+    top = max((2 * sv._BLOCK).bit_length() - 1, 3)
+    plus = sv.plus_state(n)
+    full = sv.StateVector(n, np.full(1 << n, 2.0 ** (-n / 2)), _owned=True)  # every tile runs every op
+    calls = []
+    kernel = sv._single_qubit_inplace
+
+    def counted(*args):
+        calls.append(args[1])
+        kernel(*args)
+
+    for name, gates, once in plus_prefix_cases(n, top):
+        assert sv._plan(plus, gates)[2] == 1 << top, name
+        with monkeypatch.context() as m:
+            m.setattr(sv, "_single_qubit_inplace", counted)
+            calls.clear()
+            got = sv.apply_gates(plus, gates).amps
+        singles = sum(gate.kind is not sv.GateKind.CZ for gate in gates)
+        assert len(calls) == once + (singles - once) * (1 << (n - top)), name
+        want = reference_run(np.full(1 << n, 2.0 ** (-n / 2), dtype=complex), n, gates)
+        if got.dtype == np.float64:  # the reference's real parts, zero signs included
+            assert np.array_equal(bits(got), bits(want.real)), name
+        else:  # its values: on complex data the H butterfly may flip a zero part's sign
+            assert np.array_equal(got, want), name
+        # and every bit of the walk that runs each op on each tile
+        assert np.array_equal(bits(got), bits(sv.apply_gates(full, gates).amps)), name
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_plus_prefix_runs_once_and_keeps_every_bit(monkeypatch, n):
+    check_plus_prefix(monkeypatch, n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_plus_prefix_on_small_blocks(small_block, monkeypatch, n):
+    check_plus_prefix(monkeypatch, n)
+
+
+def check_streamed_distance(n: int, seed: int) -> None:
+    # random lists draw their targets from every qubit; the relabelled walk keeps
+    # the maximum of the same amplitudes, so the two distances are equal, not close
+    rng = np.random.default_rng(seed)
+    plus = sv.plus_state(n)
+    for _ in range(3):
+        a, b = random_circuit(rng, n, 10), random_circuit(rng, n, 10)
+        a_state, b_state = sv.apply_gates(plus, a), sv.apply_gates(plus, b)
+        assert sv._streamed_distance(n, a, b) == sv.amp_distance(a_state, b_state)
+        assert sv._streamed_distance(n, a, a) == 0.0  # only if both sides are relabelled alike
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_streamed_distance_equals_amp_distance_of_both_states(n):
+    check_streamed_distance(n, 9300 + n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_streamed_distance_on_small_blocks(small_block, n):
+    check_streamed_distance(n, 9400 + n)

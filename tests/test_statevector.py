@@ -282,6 +282,20 @@ def test_state_vector_rejects_nan_amplitudes():
         sv.StateVector(1, np.array([np.nan, np.nan]))
 
 
+def test_zero_stride_views_are_checked_without_a_full_pass(monkeypatch):
+    # plus_state's view is one value repeated: its norm is size * value^2
+    def no_vdot(*args):
+        raise AssertionError("a pass over every amplitude")
+
+    monkeypatch.setattr(np, "vdot", no_vdot)
+    assert sv.plus_state(20).amps.strides == (0,)
+    for n in (0, 1, 7):
+        sv.StateVector(n, np.broadcast_to(2.0 ** (-n / 2), 1 << n), _owned=True)
+    for value in (2.0 ** -2 * (1 + 1e-6), 0.3, -0.3 * 1j + 0.0, np.nan):
+        with pytest.raises(ValueError, match="not normalized"):
+            sv.StateVector(4, np.broadcast_to(value, 16), _owned=True)
+
+
 def test_state_vector_copies_its_input_as_complex128():
     a = np.array([1.0, 0.0])
     state = sv.StateVector(1, a)
@@ -303,24 +317,26 @@ def test_fresh_buffers_are_not_copied_again():
     base = sv.graph_state(gr.path(n))
     complete = gr.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     runs = {
-        "plus_state": lambda: sv.plus_state(n),
-        "graph_state": lambda: sv.graph_state(gr.cycle(n)),
+        "plus_state": (lambda: sv.plus_state(n), 1.3),
+        "graph_state": (lambda: sv.graph_state(gr.cycle(n)), 1.3),
         # every edge at every qubit: the sign vector's Walsh rows have no empty chunk
-        "graph_state, complete graph": lambda: sv.graph_state(complete),
-        "apply_gates, CZ run": lambda: sv.apply_gates(base, [sv.Gate.cz(0, 5), sv.Gate.cz(2, 9)]),
-        # a lone CZ is a one-pair sign vector, with the bytes of a CZ run: about 1.28x
-        "apply_gates, one CZ": lambda: sv.apply_gates(base, [sv.Gate.cz(1, 7)]),
-        "apply_gates, one H": lambda: sv.apply_gates(base, [sv.Gate.h(3)]),
-        "apply_gates, one sqrt(iZ)": lambda: sv.apply_gates(base, [sv.Gate.sqrt_iz(3)]),
+        "graph_state, complete graph": (lambda: sv.graph_state(complete), 1.3),
+        # a CZ-only list allocates no kernel scratch: the sign vector and the cast
+        # buffer make about 1.16x, where a needless scratch made 1.28x
+        "apply_gates, CZ run": (lambda: sv.apply_gates(base, [sv.Gate.cz(0, 5), sv.Gate.cz(2, 9)]), 1.2),
+        # a lone CZ is a one-pair sign vector, with the bytes of a CZ run
+        "apply_gates, one CZ": (lambda: sv.apply_gates(base, [sv.Gate.cz(1, 7)]), 1.2),
+        "apply_gates, one H": (lambda: sv.apply_gates(base, [sv.Gate.h(3)]), 1.3),
+        "apply_gates, one sqrt(iZ)": (lambda: sv.apply_gates(base, [sv.Gate.sqrt_iz(3)]), 1.3),
     }
     other = sv.graph_state(gr.cycle(n))
     twisted = sv.apply_gates(base, [sv.Gate.sqrt_iz(0)])
     tracemalloc.start()
     try:
-        for name, run in runs.items():
+        for name, (run, limit) in runs.items():
             tracemalloc.reset_peak()
             nbytes = run().amps.nbytes
-            assert tracemalloc.get_traced_memory()[1] < 1.3 * nbytes, name
+            assert tracemalloc.get_traced_memory()[1] < limit * nbytes, name
         # amp_distance works block by block: no 2^n temporary, float64 or complex128
         for a, b in ((base, other), (twisted, twisted)):
             tracemalloc.reset_peak()
