@@ -41,8 +41,6 @@ from .statevector import (
 )
 from .encoding import (
     CircuitLog,
-    build_direct,
-    build_elc,
     build_logical_cluster,
     verify_chain_elc_steps,
 )

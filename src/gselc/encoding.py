@@ -7,12 +7,11 @@ five CZs. The direct construction entangles encoded blocks with 25 inter-block
 CZs each; the shortcut seeds one physical CZ between cores before encoding and
 lets the Hadamards inside the encoders do the rest.
 
-Every build makes its |+> start state first, which checks the qubit cap, then
-records its gates in a CircuitLog and runs them once with ``apply_gates``, so
-gate-count claims are audited against the exact states those gates produce.
-``build_logical_cluster`` checks the cap and records both logs the same way,
-then runs them side by side on |+>^n over cache-sized tiles, keeping only the
-largest deviation and the norms, so neither 2^n state is made.
+``build_logical_cluster`` checks the qubit cap before it records a gate, then
+records both constructions in CircuitLogs and runs the two gate lists side by
+side on |+>^n over cache-sized tiles, keeping only the largest deviation and
+the norms, so neither 2^n state is made. Gate-count claims are audited against
+the same gate lists that make the compared states.
 """
 
 from __future__ import annotations
@@ -24,13 +23,11 @@ from .statevector import (
     DEFAULT_MAX_QUBITS,
     Gate,
     GateKind,
-    StateVector,
     _check_cap,
     _streamed_distance,
     amp_distance,
     apply_gates,
     graph_state,
-    plus_state,
 )
 
 __all__ = [
@@ -40,8 +37,6 @@ __all__ = [
     "record_ghz",
     "record_pentagon",
     "record_logical_cz",
-    "build_direct",
-    "build_elc",
     "counts_match",
     "verify_chain_elc_steps",
     "build_logical_cluster",
@@ -88,7 +83,7 @@ class CircuitLog:
 
 
 def _record_fan_out(log: CircuitLog, j: int) -> None:
-    """The four core-to-ancilla CZs of block j, shared by the GHZ encoder and ``build_elc``."""
+    """The four core-to-ancilla CZs of block j, shared by the GHZ encoder and ``_record_elc``."""
     core, *ancillae = block(j)
     for anc in ancillae:
         log.append(Gate.cz(core, anc), tag="ghz")
@@ -130,6 +125,11 @@ def _check_chain_length(n_logical: int) -> None:
 
 
 def _record_direct(n_logical: int) -> CircuitLog:
+    """Reference construction: encode every block, then one logical CZ per chain edge.
+
+    On the all-plus input the GHZ fan-out stage acts as identity, so only the
+    pentagons and the 25-CZ logical gates are recorded (and counted).
+    """
     log = CircuitLog()
     for j in range(n_logical):
         record_pentagon(log, j)
@@ -139,6 +139,13 @@ def _record_direct(n_logical: int) -> CircuitLog:
 
 
 def _record_elc(n_logical: int) -> CircuitLog:
+    """Shortcut construction: physical core chain first, then the block encoders.
+
+    Gate order per the encoders: first Hadamard set on the cores, GHZ-type
+    CZs, second Hadamard set, pentagons. For a 2-chain the first Hadamard pair
+    leaves the seeded two-qubit cluster state invariant and is tagged
+    ``IDENTITY_H``; longer chains permute the core graph with it.
+    """
     cores = [block(j)[0] for j in range(n_logical)]
     log = CircuitLog()
     for a, b in zip(cores, cores[1:]):
@@ -153,30 +160,6 @@ def _record_elc(n_logical: int) -> CircuitLog:
     for j in range(n_logical):
         record_pentagon(log, j)
     return log
-
-
-def build_direct(n_logical: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[StateVector, CircuitLog]:
-    """Reference build: encode every block, then one logical CZ per chain edge.
-
-    On the all-plus input the GHZ fan-out stage acts as identity, so only the
-    pentagons and the 25-CZ logical gates are applied (and counted).
-    """
-    state = plus_state(BLOCK_SIZE * n_logical, max_qubits)
-    log = _record_direct(n_logical)
-    return apply_gates(state, log.gates), log
-
-
-def build_elc(n_logical: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[StateVector, CircuitLog]:
-    """Shortcut build: physical core chain first, then the block encoders.
-
-    Gate order per the encoders: first Hadamard set on the cores, GHZ-type
-    CZs, second Hadamard set, pentagons. For a 2-chain the first Hadamard pair
-    leaves the seeded two-qubit cluster state invariant and is tagged
-    ``IDENTITY_H``; longer chains permute the core graph with it.
-    """
-    state = plus_state(BLOCK_SIZE * n_logical, max_qubits)
-    log = _record_elc(n_logical)
-    return apply_gates(state, log.gates), log
 
 
 def verify_chain_elc_steps(
@@ -235,7 +218,7 @@ def build_logical_cluster(
     The report passes when the shortcut state equals the direct one within
     ``tol`` and both logs pass ``counts_match``. The two gate lists run side by
     side, tile by tile, so neither 2^n state is made; the deviation equals
-    ``amp_distance`` of ``build_direct`` and ``build_elc`` bit for bit.
+    ``amp_distance`` of the two logs run on ``plus_state`` bit for bit.
     """
     _check_chain_length(n_logical)
     n_qubits = BLOCK_SIZE * n_logical

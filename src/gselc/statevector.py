@@ -174,6 +174,7 @@ class StateVector:
     _owned: InitVar[bool] = False  # a buffer this module just allocated: keep, do not copy
 
     def __post_init__(self, _owned):
+        _check_cap(self.n_qubits, self.n_qubits)  # the sign only, before 1 << n_qubits
         if not _owned:
             object.__setattr__(self, "amps", np.array(self.amps, dtype=complex))
         if self.amps.shape != (1 << self.n_qubits,):

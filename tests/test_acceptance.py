@@ -100,8 +100,9 @@ def test_c04_gate_counts():
 
 def test_c05_cs2_construction_identity():
     t0 = time.perf_counter()
-    direct, _ = enc.build_direct(2)
-    shortcut, _ = enc.build_elc(2)
+    _, direct_log, elc_log = enc.build_logical_cluster(2)
+    direct = sv.apply_gates(sv.plus_state(10), direct_log.gates)
+    shortcut = sv.apply_gates(sv.plus_state(10), elc_log.gates)
     diff = sv.amp_distance(direct, shortcut)
     elapsed = time.perf_counter() - t0
     ok = direct.amps.size == 1024 and diff <= 1e-9 and elapsed < 1.0
@@ -121,7 +122,7 @@ def test_c06_ghz_encode():
 
 
 def test_c07_pre_pentagon_intermediate():
-    _, log = enc.build_elc(2)
+    _, _, log = enc.build_logical_cluster(2)
     prefix = [gate for gate, tag in zip(log.gates, log.tags) if tag != "pentagon"]
     mid = sv.apply_gates(sv.plus_state(10), prefix)
     plus5 = kron_state(*([PLUS] * 5))

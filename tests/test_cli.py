@@ -263,6 +263,17 @@ def test_randomized_suites_check_the_cap_before_any_case(capsys, monkeypatch, ar
     assert err == f"error: {largest} qubits exceeds the cap of {cap}\n"
 
 
+def test_over_cap_encode_fails_before_recording_a_gate(capsys, monkeypatch):
+    # 10**6 qubits: the logical build checks the cap before its recorders run
+    def no_recording(self, gate, tag=None):
+        raise AssertionError("a gate was recorded before the cap check")
+
+    monkeypatch.setattr(cli.encoding.CircuitLog, "append", no_recording)
+    monkeypatch.delenv(cli.ENV_MAX_QUBITS, raising=False)
+    code, out, err = run_cli(capsys, "encode", "--n-logical", "200000")
+    assert (code, out, err) == (2, "", "error: 1000000 qubits exceeds the cap of 20\n")
+
+
 def test_theorem1_cap_check_follows_the_scan_draw(capsys, monkeypatch):
     # the up-front check reads the scan's largest draw from statevector, not a copy of it
     calls = []

@@ -39,6 +39,11 @@ def record_encoder(log, j):
     enc.record_pentagon(log, j)
 
 
+def replay(n_logical, log):
+    """The state a logged N-block build makes: its gates run on |+>^(5N)."""
+    return sv.apply_gates(sv.plus_state(5 * n_logical), log.gates)
+
+
 def run_recorded(state, record, *blocks):
     """Record ``record``'s gates for each block index in a fresh log, then run them."""
     log = enc.CircuitLog()
@@ -104,7 +109,8 @@ def test_encode_logical_maps_plus_minus():
 
 
 def test_cs2_direct_counts():
-    state, log = enc.build_direct(2)
+    _, log, _ = enc.build_logical_cluster(2)
+    state = replay(2, log)
     assert log.count_cz() == 35
     assert log.count_cz("logical_cz") == 25
     assert log.hadamard_count == 0
@@ -113,20 +119,19 @@ def test_cs2_direct_counts():
 
 
 def test_cs2_elc_counts():
-    _, log = enc.build_elc(2)
+    _, _, log = enc.build_logical_cluster(2)
     assert log.count_cz() == 19
     assert log.hadamard_count == 2
     assert log.tags.count(enc.IDENTITY_H) == 2
 
 
 def test_cs2_constructions_agree():
-    direct, _ = enc.build_direct(2)
-    shortcut, _ = enc.build_elc(2)
-    assert sv.equal_exact(direct, shortcut, 1e-9)
+    _, direct_log, elc_log = enc.build_logical_cluster(2)
+    assert sv.equal_exact(replay(2, direct_log), replay(2, elc_log), 1e-9)
 
 
 def test_cs2_elc_pre_pentagon_state():
-    _, log = enc.build_elc(2)
+    _, _, log = enc.build_logical_cluster(2)
     prefix = [gate for gate, tag in zip(log.gates, log.tags) if tag != "pentagon"]
     mid = sv.apply_gates(sv.plus_state(10), prefix)
 
@@ -241,22 +246,21 @@ def test_chain_elc_steps_two_and_six():
 
 
 def test_build_logical_cluster_two_blocks():
-    rep, _, log = enc.build_logical_cluster(2)
-    state, elc_log = enc.build_elc(2)
+    rep, direct_log, log = enc.build_logical_cluster(2)
     assert rep.passed
     assert log.count_cz() == 19
     assert rep.details["direct"]["cz_count"] == 35
-    assert log.gates == elc_log.gates and log.tags == elc_log.tags
-    # log/compute consistency: running the logged gates reproduces the state
-    replayed = sv.apply_gates(sv.plus_state(10), log.gates)
-    assert sv.equal_exact(replayed, state, 1e-12)
+    # log/compute consistency: the logged gates, replayed, make the states the report compared
+    replayed = replay(2, log)
+    assert sv.amp_distance(replayed, replay(2, direct_log)) == rep.details["max_amp_diff"]
     assert len(log.tags) == len(log.gates)
     assert log.count_cz() == sum(1 for gate in log.gates if gate.kind is sv.GateKind.CZ)
 
 
 def test_build_logical_cluster_rejects_odd():
-    with pytest.raises(OddChainError):
-        enc.build_logical_cluster(3)
+    for n_logical in (-1, 0, 3):
+        with pytest.raises(OddChainError):
+            enc.build_logical_cluster(n_logical)
 
 
 def test_circuit_log_counts_never_decrease():
@@ -269,24 +273,21 @@ def test_circuit_log_counts_never_decrease():
     assert seen == [(0, 1), (1, 1), (2, 1), (2, 2)]
 
 
-@pytest.mark.parametrize("build", [enc.build_direct, enc.build_elc])
-def test_over_cap_builds_fail_before_recording_a_gate(build, monkeypatch):
+def test_over_cap_builds_fail_before_recording_a_gate(monkeypatch):
     # 5 * 10**5 qubits: recording the gates alone would take seconds and hundreds of MB
     def no_recording(self, gate, tag=None):
         raise AssertionError("a gate was recorded before the cap check")
 
     monkeypatch.setattr(enc.CircuitLog, "append", no_recording)
     with pytest.raises(TooManyQubitsError, match="exceeds the cap of 20"):
-        build(10**5)
+        enc.build_logical_cluster(10**5)
 
 
 @pytest.mark.parametrize("n_logical", [2, 4])
 def test_streamed_comparison_equals_amp_distance_of_both_builds(n_logical):
+    # the materialised reference: both returned logs replayed into full states
     rep, direct_log, elc_log = enc.build_logical_cluster(n_logical)
-    direct, direct_built = enc.build_direct(n_logical)
-    shortcut, elc_built = enc.build_elc(n_logical)
-    assert (direct_log.gates, elc_log.gates) == (direct_built.gates, elc_built.gates)
-    diff = sv.amp_distance(direct, shortcut)
+    diff = sv.amp_distance(replay(n_logical, direct_log), replay(n_logical, elc_log))
     assert rep.passed
     assert rep.details["max_amp_diff"] == diff  # the same bits: a maximum of the same exact values
     assert rep.details["direct"]["max_amp_diff"] == rep.details["elc"]["max_amp_diff"] == diff
@@ -315,7 +316,7 @@ def test_streamed_comparison_checks_both_norms(monkeypatch):
     with pytest.raises(ValueError, match="not normalized"):
         enc.build_logical_cluster(2)
     with pytest.raises(ValueError, match="not normalized"):
-        enc.build_elc(2)
+        replay(2, enc._record_elc(2))
     with pytest.raises(ValueError, match="not normalized"):
         sv._streamed_distance(3, [], [sv.Gate.h(0)])
     with pytest.raises(ValueError, match="not normalized"):

@@ -78,8 +78,6 @@ PACKAGE_NAMES = {
     },
     "encoding": {
         "CircuitLog",
-        "build_direct",
-        "build_elc",
         "build_logical_cluster",
         "verify_chain_elc_steps",
     },
@@ -91,8 +89,6 @@ ENCODING_ALL = {
     "record_ghz",
     "record_pentagon",
     "record_logical_cz",
-    "build_direct",
-    "build_elc",
     "counts_match",
     "verify_chain_elc_steps",
     "build_logical_cluster",

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gselc import encoding as enc
 from gselc import graph as gr
 from gselc import statevector as sv
 from gselc.errors import (
@@ -135,7 +134,10 @@ def test_qubit_cap_enforced():
         sv.verify_theorem1(gr.path(3), 0, gr.path(3), 0, max_qubits=5)
 
 
-@pytest.mark.parametrize("build", [sv.plus_state, enc.build_direct, enc.build_elc])
+@pytest.mark.parametrize(
+    "build",
+    [sv.plus_state, pytest.param(lambda n: sv.StateVector(n, [1.0]), id="StateVector")],
+)
 def test_negative_qubit_counts_fail_with_one_line(build):
     with pytest.raises(TooSmallError, match="non-negative") as info:
         build(-1)
