@@ -25,9 +25,12 @@ top bit) run once, and each tile starts from a copy of their result. Every
 amplitude gets the same operations in the same order whatever the tiling, so
 results keep their bits. ``_streamed_distance`` walks two gate lists on |+>^n
 over the same tiles and keeps only the largest deviation and the norms, so it
-makes neither 2^n state; it first relabels the qubits of both lists alike, so
-that every single-qubit target sits high in a tile, where the kernel is
-fastest. ``amp_distance`` and ``equal_up_to_global_phase`` work block by block
+makes neither 2^n state; ``verify_theorem1`` and
+``encoding.build_logical_cluster`` compare through it. A ``Graph`` in a list is
+one CZ run, so a graph state is the list ``[graph]``. Past one 2^16-amplitude
+tile the comparison first relabels the qubits of both lists alike, so that
+every single-qubit target sits high in a tile, where the kernel is fastest.
+``amp_distance`` and ``equal_up_to_global_phase`` work block by block
 with no 2^n temporary. The tests keep index-based reference kernels that these
 must match bit for bit.
 
@@ -270,29 +273,39 @@ def graph_state(g: Graph, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     return StateVector(g.n, amps, _owned=True)
 
 
-def _plan(sv: StateVector, gates) -> tuple[list[tuple], type, int]:
-    """A gate list as tile operations, their dtype, and the smallest tile that runs them.
+def _plan(sv: StateVector, items) -> tuple[list[tuple], type, int, bool]:
+    """A gate list as tile operations, their dtype, the smallest tile that runs them,
+    and whether a single-qubit gate is among them (the kernel then needs scratch).
 
-    Targets are checked first. The dtype is float64 for a float64 input and real
-    gates (H, X, Z, CZ), else complex128. Every single-qubit target lies inside
-    the tile: the kernel pairs amplitudes 2^q apart, Z and sqrt(iZ) included. A
-    run of CZs is XORed into bit rows: pairs that cancel leave nothing, and any
-    other run becomes one int8 sign vector, shared by every tile, with its
-    highest qubit.
+    An item is a ``Gate`` or a ``Graph``; a graph is a run of CZs, one per edge.
+    Targets and graph sizes are checked first, before anything is allocated. The
+    dtype is float64 for a float64 input and real gates (H, X, Z, CZ), else
+    complex128. Every single-qubit target lies inside the tile: the kernel pairs
+    amplitudes 2^q apart, Z and sqrt(iZ) included. A run of CZs and graphs is
+    XORed into bit rows, a graph's lower rows straight in: pairs that cancel
+    leave nothing, and any other run becomes one int8 sign vector, shared by
+    every tile, with its highest qubit.
     """
-    gates = list(gates)
+    items = list(items)
     n = sv.n_qubits
     real = sv.amps.dtype == np.float64
-    for gate in gates:
-        for t in gate.targets:
+    single = False
+    for item in items:
+        if isinstance(item, Graph):
+            if item.n != n:
+                raise SizeMismatchError(f"graph has {item.n} vertices, state has {n} qubits")
+            continue
+        for t in item.targets:
             if not 0 <= t < n:
                 raise VertexRangeError(f"target {t} out of range for {n} qubits")
-        if gate.kind is not GateKind.CZ and gate.kind not in _REAL:
-            real = False
+        if item.kind is not GateKind.CZ:
+            single = True
+            if item.kind not in _REAL:
+                real = False
     entries = _REAL if real else _ENTRIES
     ops = []
     top = 0
-    for is_cz, run in groupby(gates, key=lambda gate: gate.kind is GateKind.CZ):
+    for is_cz, run in groupby(items, key=_in_cz_run):
         if not is_cz:
             for gate in run:
                 q = gate.targets[0]
@@ -300,12 +313,21 @@ def _plan(sv: StateVector, gates) -> tuple[list[tuple], type, int]:
                 ops.append(("gate", q, entries[gate.kind], gate.kind is GateKind.H))
             continue
         lower = [0] * n
-        for gate in run:
-            lower[max(gate.targets)] ^= 1 << min(gate.targets)
+        for item in run:
+            if isinstance(item, Graph):
+                for i, row in enumerate(item.rows):
+                    lower[i] ^= row & ((1 << i) - 1)
+            else:
+                lower[max(item.targets)] ^= 1 << min(item.targets)
         hi = max((i for i, row in enumerate(lower) if row), default=None)
         if hi is not None:
             ops.append(("sign", _sign_vector(n, lower), hi))
-    return ops, np.float64 if real else complex, min(1 << n, max(2 * _BLOCK, 2 << top))
+    return ops, np.float64 if real else complex, min(1 << n, max(2 * _BLOCK, 2 << top)), single
+
+
+def _in_cz_run(item) -> bool:
+    """Whether a gate-list item goes into a CZ run: a CZ or a whole ``Graph``."""
+    return isinstance(item, Graph) or item.kind is GateKind.CZ
 
 
 def _run_tile(src: np.ndarray, ops: list[tuple], tile: np.ndarray, start: int, scratch) -> None:
@@ -321,16 +343,17 @@ def _run_tile(src: np.ndarray, ops: list[tuple], tile: np.ndarray, start: int, s
             tile *= op[1][start : start + tile.size]
 
 
-def _walk(src: np.ndarray, ops: list[tuple], dtype, size: int, out: np.ndarray | None = None):
-    """Run planned ops over ``src`` one tile of ``size`` at a time, yielding each finished tile.
+def _walk(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool, out: np.ndarray | None = None):
+    """Run a plan over ``src`` one tile of ``size`` at a time, yielding each finished tile.
 
     The tiles are ``out``'s own slices when it is given, else one reused buffer.
+    The kernel scratch is allocated only when the plan has a single-qubit gate.
     A zero-stride ``src`` (``plus_state``) starts every tile equal, and the
     leading ops that act inside a tile keep them equal: single-qubit gates, and
     sign vectors whose highest qubit is below the tile's bits. That prefix runs
     once into a head tile, and each tile starts from a copy of it.
     """
-    scratch = np.empty((2, min(size // 2, _BLOCK)), dtype) if any(op[0] == "gate" for op in ops) else None
+    scratch = np.empty((2, min(size // 2, _BLOCK)), dtype) if single else None
     k = 0
     if src.strides == (0,):
         bits = size.bit_length() - 1
@@ -354,9 +377,9 @@ def apply_gates(sv: StateVector, gates) -> StateVector:
     The result is float64 when the input is float64 and every gate is real (H,
     X, Z, CZ), otherwise complex128.
     """
-    ops, dtype, size = _plan(sv, gates)
-    amps = np.empty(sv.amps.size, dtype)
-    for _ in _walk(sv.amps, ops, dtype, size, amps):
+    plan = _plan(sv, gates)
+    amps = np.empty(sv.amps.size, plan[1])
+    for _ in _walk(sv.amps, *plan, amps):
         pass
     return StateVector(sv.n_qubits, amps, _owned=True)
 
@@ -387,33 +410,52 @@ def amp_distance(a: StateVector, b: StateVector) -> float:
     return _max_deviation(a.amps, b.amps)
 
 
-def _streamed_distance(n: int, a_gates, b_gates) -> float:
+def _relabel(item, label: dict[int, int]):
+    """``item`` with each qubit q renamed ``label[q]``: a gate's targets, a graph's rows.
+
+    An out-of-range target, or a graph of another size, stays, for ``_plan`` to reject.
+    """
+    if not isinstance(item, Graph):
+        return Gate(item.kind, tuple(label.get(t, t) for t in item.targets))
+    if item.n != len(label):
+        return item
+    rows = [0] * item.n
+    for i, row in enumerate(item.rows):
+        rows[label[i]] = sum(1 << label[j] for j in mask_vertices(row))
+    return Graph(item.n, tuple(rows))
+
+
+def _streamed_distance(n: int, a_items, b_items) -> float:
     """``amp_distance`` of the two gate lists, each run on |+>^n, making neither state.
 
-    The caller checks the qubit cap. |+>^n is invariant under any relabelling
-    of its qubits, and relabelling both results alike only permutes their
-    amplitudes, so both lists first move every single-qubit target to the top
-    bits of a 2^16-amplitude tile (4 * ``_BLOCK``; measured a little faster
-    than the smallest tile), where the kernel runs fastest. The lists then walk
-    the same tiles side by side; each tile pair adds to the running maximum and
-    to both squared norms, which are then checked as ``StateVector`` checks them.
+    An item is a ``Gate`` or a ``Graph``, which ``_plan`` takes as one CZ run, so
+    a graph state is the list ``[graph]``. The caller checks the qubit cap.
+    |+>^n is invariant under any relabelling of its qubits, and relabelling both
+    results alike only permutes their amplitudes, so when the state is larger
+    than a 2^16-amplitude tile (4 * ``_BLOCK``; measured a little faster than
+    the smallest tile) both lists first move every single-qubit target to the
+    top bits of that tile, where the kernel runs fastest; a graph's rows are
+    permuted. A state that fits in one such tile is not relabelled: there it
+    would place nothing. The lists then walk the same tiles side by side; each
+    tile pair adds to the running maximum and to both squared norms, which are
+    then checked as ``StateVector`` checks them.
     """
     plus = plus_state(n, max_qubits=n)
-    a_gates, b_gates = list(a_gates), list(b_gates)
-    singles = {gate.targets[0] for gate in a_gates + b_gates if gate.kind is not GateKind.CZ}
-    top = [q for q in range(n) if q in singles]
-    rest = [q for q in range(n) if q not in singles]
-    cut = max(min((4 * _BLOCK).bit_length() - 1, n) - len(top), 0)
-    # the other qubits keep their order; an out-of-range target stays, for _plan to reject
-    label = dict(zip(rest[:cut] + top + rest[cut:], range(n)))
-    plans = [
-        _plan(plus, [Gate(gate.kind, tuple(label.get(t, t) for t in gate.targets)) for gate in gates])
-        for gates in (a_gates, b_gates)
-    ]
-    size = max(tile for _, _, tile in plans)
+    sides = [list(a_items), list(b_items)]
+    bits = (4 * _BLOCK).bit_length() - 1
+    if n > bits:
+        singles = {item.targets[0] for item in sides[0] + sides[1] if not _in_cz_run(item)}
+        top = [q for q in range(n) if q in singles]
+        rest = [q for q in range(n) if q not in singles]
+        cut = max(bits - len(top), 0)
+        # the other qubits keep their order
+        label = dict(zip(rest[:cut] + top + rest[cut:], range(n)))
+        sides = [[_relabel(item, label) for item in side] for side in sides]
+    plans = [_plan(plus, side) for side in sides]
+    size = max(plan[2] for plan in plans)
     worst = 0.0
     norms = [0.0, 0.0]
-    for ta, tb in zip(*(_walk(plus.amps, ops, dtype, size) for ops, dtype, _ in plans)):
+    for ta, tb in zip(*(_walk(plus.amps, ops, dtype, size, single) for ops, dtype, _, single in plans)):
         norms[0] += float(np.vdot(ta, ta).real)
         norms[1] += float(np.vdot(tb, tb).real)
         diff = np.subtract(ta, tb, out=ta if ta.dtype == np.result_type(ta, tb) else None)  # in place if it fits
@@ -468,23 +510,27 @@ def verify_theorem1(
 
     LHS: CZ between the cores of |G1>|G2>, then a Hadamard on each core.
     RHS: the graph state of the edge-locally-complemented joined graph.
+    Both sides are gate lists on |+>^n, ``[G1 + G2, CZ, H, H]`` against
+    ``[ELC graph]``, compared by ``_streamed_distance``: no 2^n state is built,
+    and the cap is checked before anything is allocated. The reported LHS gates
+    are the three after the union's graph state.
     """
     g1.check_vertex(c1)
     g2.check_vertex(c2)
+    n = g1.n + g2.n
+    _check_cap(n, max_qubits)
     c2_global = c2 + g1.n
     union = gr.disjoint_union(g1, g2)
 
     lhs_gates = [Gate.cz(c1, c2_global), Gate.h(c1), Gate.h(c2_global)]
-    lhs = apply_gates(graph_state(union, max_qubits), lhs_gates)
     joined = gr.toggle_edge(union, c1, c2_global)
     elc_graph = gr.edge_local_complement(joined, c1, c2_global)
-    rhs = graph_state(elc_graph, max_qubits)
 
-    diff = amp_distance(lhs, rhs)
+    diff = _streamed_distance(n, [union, *lhs_gates], [elc_graph])
     return Report(
         passed=diff <= tol,
         details={
-            "n_qubits": g1.n + g2.n,
+            "n_qubits": n,
             "cores": [c1, c2_global],
             "lhs_gates": [gate.label() for gate in lhs_gates],
             "rhs_graph_edges": [list(e) for e in elc_graph.edges()],

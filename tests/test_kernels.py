@@ -9,7 +9,7 @@ import pytest
 
 from gselc import graph as gr
 from gselc import statevector as sv
-from gselc.errors import VertexRangeError
+from gselc.errors import SizeMismatchError, VertexRangeError
 from gselc.graph import all_graphs, random_graph
 
 from conftest import reference_graph_state, reference_run, reference_sign_vector
@@ -483,16 +483,27 @@ def test_plus_prefix_on_small_blocks(small_block, monkeypatch, n):
     check_plus_prefix(monkeypatch, n)
 
 
+def with_graph(rng: np.random.Generator, n: int, gates: list) -> tuple[list, list]:
+    """``gates`` with a random graph put in at a random place, and the same list with
+    the graph spelled out as one CZ per edge."""
+    g = random_graph(rng, n)
+    k = int(rng.integers(len(gates) + 1))
+    return gates[:k] + [g] + gates[k:], gates[:k] + [sv.Gate.cz(a, b) for a, b in g.edges()] + gates[k:]
+
+
 def check_streamed_distance(n: int, seed: int) -> None:
     # random lists draw their targets from every qubit; the relabelled walk keeps
-    # the maximum of the same amplitudes, so the two distances are equal, not close
+    # the maximum of the same amplitudes, so the two distances are equal, not close.
+    # A graph item is a CZ run: relabelling permutes its rows like the gates' targets
     rng = np.random.default_rng(seed)
     plus = sv.plus_state(n)
     for _ in range(3):
-        a, b = random_circuit(rng, n, 10), random_circuit(rng, n, 10)
-        a_state, b_state = sv.apply_gates(plus, a), sv.apply_gates(plus, b)
+        a, a_gates = with_graph(rng, n, random_circuit(rng, n, 10))
+        b, b_gates = with_graph(rng, n, random_circuit(rng, n, 10))
+        a_state, b_state = sv.apply_gates(plus, a_gates), sv.apply_gates(plus, b_gates)
         assert sv._streamed_distance(n, a, b) == sv.amp_distance(a_state, b_state)
         assert sv._streamed_distance(n, a, a) == 0.0  # only if both sides are relabelled alike
+        assert sv._streamed_distance(n, a, a_gates) == 0.0
 
 
 @pytest.mark.parametrize("n", [17, 18])
@@ -503,3 +514,26 @@ def test_streamed_distance_equals_amp_distance_of_both_states(n):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_streamed_distance_on_small_blocks(small_block, n):
     check_streamed_distance(n, 9400 + n)
+
+
+def test_streamed_distance_sees_every_tile():
+    # the two lists differ on every tile but the last, whose indices have bits 17, 18 and 19 set
+    n = 20
+    plus = sv.plus_state(n)
+    a, b = [sv.Gate.cz(17, 18)], [sv.Gate.cz(17, 19)]
+    assert sv._plan(plus, a)[2] < 1 << n
+    want = sv.amp_distance(sv.apply_gates(plus, a), sv.apply_gates(plus, b))
+    assert sv._streamed_distance(n, a, b) == want == 0.001953125
+
+
+@pytest.mark.parametrize("n", [4, 17])
+def test_graph_items_of_the_wrong_size_fail_before_any_sign_vector(monkeypatch, n):
+    def no_sign_vector(*args):
+        raise AssertionError("a sign vector was built for a wrong-size graph")
+
+    monkeypatch.setattr(sv, "_sign_vector", no_sign_vector)
+    for g in (gr.path(n - 1), gr.path(n + 1)):
+        with pytest.raises(SizeMismatchError):
+            sv._plan(sv.plus_state(n), [sv.Gate.h(0), g])
+        with pytest.raises(SizeMismatchError):  # at 17 qubits after the relabelling
+            sv._streamed_distance(n, [sv.Gate.h(n - 1)], [g])

@@ -173,6 +173,84 @@ def test_theorem1_randomized():
         assert rep.passed, rep.details
 
 
+def check_theorem1_against_dense(g1, c1, g2, c2) -> None:
+    """The streamed report keeps the dense oracle's bits, and a toggled ELC edge
+    gives the dense distance through the same walk, above ``tol``."""
+    rep = sv.verify_theorem1(g1, c1, g2, c2)
+    n, c2 = g1.n + g2.n, c2 + g1.n
+    union = gr.disjoint_union(g1, g2)
+    lhs_gates = [sv.Gate.cz(c1, c2), sv.Gate.h(c1), sv.Gate.h(c2)]
+    elc = gr.edge_local_complement(gr.toggle_edge(union, c1, c2), c1, c2)
+    assert rep.passed
+    assert rep.details["lhs_gates"] == [gate.label() for gate in lhs_gates]
+    assert rep.details["rhs_graph_edges"] == [list(e) for e in elc.edges()]
+    lhs = sv.apply_gates(sv.graph_state(union), lhs_gates)
+    assert rep.details["max_amp_diff"].hex() == sv.amp_distance(lhs, sv.graph_state(elc)).hex()
+    wrong = gr.toggle_edge(elc, 0, n - 1)
+    streamed = sv._streamed_distance(n, [union, *lhs_gates], [wrong])
+    assert streamed.hex() == sv.amp_distance(lhs, sv.graph_state(wrong)).hex()
+    assert streamed > rep.details["tol"]
+
+
+def test_theorem1_matches_the_dense_oracle_on_every_small_case():
+    # every labelled (G1, c1, G2, c2) with n1 + n2 <= 5
+    cases = 0
+    for n1 in range(1, 5):
+        for n2 in range(1, 6 - n1):
+            for g1 in all_graphs(n1):
+                for g2 in all_graphs(n2):
+                    for c1 in range(n1):
+                        for c2 in range(n2):
+                            check_theorem1_against_dense(g1, c1, g2, c2)
+                            cases += 1
+    assert cases == 777
+
+
+@pytest.mark.parametrize("n1, n2", [(8, 8), (8, 9), (9, 9), (9, 10), (10, 10)])
+def test_theorem1_matches_the_dense_oracle_past_one_tile(n1, n2):
+    # from 17 qubits the second core sits at qubit 16 or above, so the walk relabels it
+    # into the tile; at 16 it is the top qubit, and the state is one tile
+    rng = np.random.default_rng(4100 + 10 * n1 + n2)
+    g1, g2 = random_graph(rng, n1), random_graph(rng, n2)
+    c2 = int(rng.integers(min(16 - n1, n2 - 1), n2))
+    check_theorem1_against_dense(g1, int(rng.integers(n1)), g2, c2)
+
+
+def test_theorem1_reads_its_tolerance(monkeypatch):
+    # a deviation far below one amplitude still fails the default tol
+    monkeypatch.setattr(sv, "_streamed_distance", lambda n, a, b: 1e-6)
+    rep = sv.verify_theorem1(gr.path(2), 1, gr.path(2), 0)
+    assert not rep.passed and rep.details["max_amp_diff"] == 1e-6
+    assert sv.verify_theorem1(gr.path(2), 1, gr.path(2), 0, tol=1e-5).passed
+    # and compares with <= against tol itself
+    assert sv.verify_theorem1(gr.path(2), 1, gr.path(2), 0, tol=1e-6).passed
+    assert not sv.verify_theorem1(gr.path(2), 1, gr.path(2), 0, tol=np.nextafter(1e-6, 0)).passed
+
+
+def test_theorem1_builds_no_full_state():
+    # 20 qubits, second core at qubit 19: the traced peak stays under half of one float64 state
+    rng = np.random.default_rng(4200)
+    g1, g2 = random_graph(rng, 10), random_graph(rng, 10)
+    tracemalloc.start()
+    try:
+        assert sv.verify_theorem1(g1, 3, g2, 9).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * (1 << 20), peak
+
+
+def test_theorem1_checks_the_cap_before_any_sign_vector(monkeypatch):
+    def no_sign_vector(*args):
+        raise AssertionError("a sign vector was built over the cap")
+
+    monkeypatch.setattr(sv, "_sign_vector", no_sign_vector)
+    with pytest.raises(TooManyQubitsError):
+        sv.verify_theorem1(gr.path(10), 0, gr.path(11), 0)
+    with pytest.raises(TooManyQubitsError):
+        sv.verify_theorem1(gr.path(3), 0, gr.path(3), 0, max_qubits=5)
+
+
 def test_vertex_lc_isolated():
     rep = sv.verify_vertex_lc(gr.new_empty(2), 0)
     assert rep.passed
