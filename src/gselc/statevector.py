@@ -27,9 +27,10 @@ results keep their bits. ``_streamed_distance`` walks two gate lists on |+>^n
 over the same tiles and keeps only the largest deviation and the norms, so it
 makes neither 2^n state; ``verify_theorem1`` and
 ``encoding.build_logical_cluster`` compare through it. A ``Graph`` in a list is
-one CZ run, so a graph state is the list ``[graph]``. Past one 2^16-amplitude
-tile the comparison first relabels the qubits of both lists alike, so that
-every single-qubit target sits high in a tile, where the kernel is fastest.
+one CZ run, so a graph state is the list ``[graph]``; its symmetric bit rows go
+into the run unchanged, as into ``graph_state``. Past one 2^16-amplitude tile
+``_plan`` renames the qubits of both lists by one map, so that every
+single-qubit target sits high in a tile, where the kernel is fastest.
 ``amp_distance`` and ``equal_up_to_global_phase`` work block by block
 with no 2^n temporary. The tests keep index-based reference kernels that these
 must match bit for bit.
@@ -237,11 +238,13 @@ def _single_qubit_inplace(amps: np.ndarray, q: int, entries, scratch, butterfly:
                 np.add(t0, t1, out=a1)
 
 
-def _sign_vector(n: int, lower: list[int]) -> np.ndarray:
-    """int8 (-1)^(x^T U x) for all x; bit j of ``lower[i]`` is U[j, i], j < i.
+def _sign_vector(n: int, rows: list[int]) -> np.ndarray:
+    """int8 (-1)^(x^T U x) for all x, from a graph's symmetric bit rows.
 
     The quadratic form of a graph state (Dehaene and De Moor, PRA 68, 042318):
-    for y < 2^i, x = 2^i + y gives x^T U x = y^T U y + v.y with v = ``lower[i]``,
+    U is the strict upper triangle of the adjacency matrix, U[j, i] = bit j of
+    ``rows[i]`` for j < i, and only those bits are read. For y < 2^i,
+    x = 2^i + y gives x^T U x = y^T U y + v.y with v = ``rows[i]`` below bit i,
     so the signs of the indices whose top bit is i are those of y times the
     Walsh row (-1)^(v.y). Split y into _LOW-bit chunks y_k and v into v_k, and
     that row is the product over k of W[v_k, y_k], W the table. The two lowest
@@ -250,8 +253,9 @@ def _sign_vector(n: int, lower: list[int]) -> np.ndarray:
     """
     sign = np.empty(1 << n, dtype=np.int8)
     sign[0] = 1
-    for i, row in enumerate(lower):
-        if not row:  # an all-ones row: the new half is a copy of the signs so far
+    for i, row in enumerate(rows):
+        row &= (1 << i) - 1
+        if not row:  # no lower partner, an all-ones row: the new half is a copy of the signs so far
             sign[1 << i : 2 << i] = sign[: 1 << i]
             continue
         walsh = _WALSH[row & _MASK, : 1 << min(i, _LOW)]
@@ -268,12 +272,11 @@ def _sign_vector(n: int, lower: list[int]) -> np.ndarray:
 def graph_state(g: Graph, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     """|G> = product of CZ over the edges on |+>^n: 2^(-n/2) times the sign vector, float64."""
     _check_cap(g.n, max_qubits)
-    lower = [row & ((1 << i) - 1) for i, row in enumerate(g.rows)]
-    amps = _sign_vector(g.n, lower) * 2.0 ** (-g.n / 2)
+    amps = _sign_vector(g.n, g.rows) * 2.0 ** (-g.n / 2)
     return StateVector(g.n, amps, _owned=True)
 
 
-def _plan(sv: StateVector, items) -> tuple[list[tuple], type, int, bool]:
+def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, bool]:
     """A gate list as tile operations, their dtype, the smallest tile that runs them,
     and whether a single-qubit gate is among them (the kernel then needs scratch).
 
@@ -282,9 +285,11 @@ def _plan(sv: StateVector, items) -> tuple[list[tuple], type, int, bool]:
     dtype is float64 for a float64 input and real gates (H, X, Z, CZ), else
     complex128. Every single-qubit target lies inside the tile: the kernel pairs
     amplitudes 2^q apart, Z and sqrt(iZ) included. A run of CZs and graphs is
-    XORed into bit rows, a graph's lower rows straight in: pairs that cancel
-    leave nothing, and any other run becomes one int8 sign vector, shared by
-    every tile, with its highest qubit.
+    XORed into symmetric bit rows, a graph's rows straight in and a CZ as both
+    of its bits: pairs that cancel leave nothing, and any other run becomes one
+    int8 sign vector, shared by every tile, with its highest qubit. ``label``,
+    if given, renames each qubit q ``label[q]`` once the checks have passed: a
+    single-qubit target, and each run's rows, permuted once per run.
     """
     items = list(items)
     n = sv.n_qubits
@@ -308,20 +313,27 @@ def _plan(sv: StateVector, items) -> tuple[list[tuple], type, int, bool]:
     for is_cz, run in groupby(items, key=_in_cz_run):
         if not is_cz:
             for gate in run:
-                q = gate.targets[0]
+                q = gate.targets[0] if label is None else label[gate.targets[0]]
                 top = q if q > top else top
                 ops.append(("gate", q, entries[gate.kind], gate.kind is GateKind.H))
             continue
-        lower = [0] * n
+        rows = [0] * n
         for item in run:
             if isinstance(item, Graph):
                 for i, row in enumerate(item.rows):
-                    lower[i] ^= row & ((1 << i) - 1)
+                    rows[i] ^= row
             else:
-                lower[max(item.targets)] ^= 1 << min(item.targets)
-        hi = max((i for i, row in enumerate(lower) if row), default=None)
+                a, b = item.targets
+                rows[a] ^= 1 << b
+                rows[b] ^= 1 << a
+        if label is not None:
+            moved = [0] * n
+            for i, row in enumerate(rows):
+                moved[label[i]] = sum(1 << label[j] for j in mask_vertices(row))
+            rows = moved
+        hi = max((i for i, row in enumerate(rows) if row), default=None)
         if hi is not None:
-            ops.append(("sign", _sign_vector(n, lower), hi))
+            ops.append(("sign", _sign_vector(n, rows), hi))
     return ops, np.float64 if real else complex, min(1 << n, max(2 * _BLOCK, 2 << top)), single
 
 
@@ -410,21 +422,6 @@ def amp_distance(a: StateVector, b: StateVector) -> float:
     return _max_deviation(a.amps, b.amps)
 
 
-def _relabel(item, label: dict[int, int]):
-    """``item`` with each qubit q renamed ``label[q]``: a gate's targets, a graph's rows.
-
-    An out-of-range target, or a graph of another size, stays, for ``_plan`` to reject.
-    """
-    if not isinstance(item, Graph):
-        return Gate(item.kind, tuple(label.get(t, t) for t in item.targets))
-    if item.n != len(label):
-        return item
-    rows = [0] * item.n
-    for i, row in enumerate(item.rows):
-        rows[label[i]] = sum(1 << label[j] for j in mask_vertices(row))
-    return Graph(item.n, tuple(rows))
-
-
 def _streamed_distance(n: int, a_items, b_items) -> float:
     """``amp_distance`` of the two gate lists, each run on |+>^n, making neither state.
 
@@ -433,9 +430,9 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
     |+>^n is invariant under any relabelling of its qubits, and relabelling both
     results alike only permutes their amplitudes, so when the state is larger
     than a 2^16-amplitude tile (4 * ``_BLOCK``; measured a little faster than
-    the smallest tile) both lists first move every single-qubit target to the
-    top bits of that tile, where the kernel runs fastest; a graph's rows are
-    permuted. A state that fits in one such tile is not relabelled: there it
+    the smallest tile) both ``_plan`` calls take one qubit map that moves every
+    single-qubit target to the top bits of that tile, where the kernel runs
+    fastest. A state that fits in one such tile is not relabelled: there it
     would place nothing. The lists then walk the same tiles side by side; each
     tile pair adds to the running maximum and to both squared norms, which are
     then checked as ``StateVector`` checks them.
@@ -443,6 +440,7 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
     plus = plus_state(n, max_qubits=n)
     sides = [list(a_items), list(b_items)]
     bits = (4 * _BLOCK).bit_length() - 1
+    label = None
     if n > bits:
         singles = {item.targets[0] for item in sides[0] + sides[1] if not _in_cz_run(item)}
         top = [q for q in range(n) if q in singles]
@@ -450,8 +448,7 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
         cut = max(bits - len(top), 0)
         # the other qubits keep their order
         label = dict(zip(rest[:cut] + top + rest[cut:], range(n)))
-        sides = [[_relabel(item, label) for item in side] for side in sides]
-    plans = [_plan(plus, side) for side in sides]
+    plans = [_plan(plus, side, label) for side in sides]
     size = max(plan[2] for plan in plans)
     worst = 0.0
     norms = [0.0, 0.0]

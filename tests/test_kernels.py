@@ -87,9 +87,13 @@ def lower_rows(g: gr.Graph) -> list[int]:
 
 
 def assert_sign_vector_matches_reference(g: gr.Graph) -> None:
-    got = sv._sign_vector(g.n, lower_rows(g))
+    # the builder takes a graph's symmetric rows and reads only the bits below i, so
+    # the strict-lower rows give the same vector; a vertex whose partners all lie
+    # above it masks to an empty row and takes the copy shortcut
+    got = sv._sign_vector(g.n, g.rows)
     assert got.dtype == np.int8
     assert np.array_equal(got, reference_sign_vector(g.n, lower_rows(g))), (g.n, g.edges())
+    assert np.array_equal(sv._sign_vector(g.n, lower_rows(g)), got), (g.n, g.edges())
 
 
 @pytest.mark.parametrize("n", range(0, 24))
@@ -98,8 +102,9 @@ def test_sign_vector_matches_doubling_reference(n):
     # first sizes whose top row has a second, third and fourth chunk
     rng = np.random.default_rng(7000 + n)
     assert_sign_vector_matches_reference(gr.new_empty(n))
-    # one pair: every other row is empty and copies the signs so far, below the
-    # set row for (j, n-1), above it for (0, 1); j starts each chunk of the top row
+    # one pair: every other lower row is empty and copies the signs so far, below
+    # the set row for (j, n-1), above it for (0, 1); j starts each chunk of the top
+    # row. Vertex 0 of (0, 1) and j of (j, n-1) have their one partner above them
     for pair in [(0, 1)] * (n >= 2) + [(j, n - 1) for j in range(0, n - 1, 7)]:
         assert_sign_vector_matches_reference(gr.from_edges(n, [pair]))
     for _ in range(2):
@@ -492,9 +497,10 @@ def with_graph(rng: np.random.Generator, n: int, gates: list) -> tuple[list, lis
 
 
 def check_streamed_distance(n: int, seed: int) -> None:
-    # random lists draw their targets from every qubit; the relabelled walk keeps
-    # the maximum of the same amplitudes, so the two distances are equal, not close.
-    # A graph item is a CZ run: relabelling permutes its rows like the gates' targets
+    # random lists draw their targets from every qubit; past one tile both lists are
+    # planned under one qubit map, and the walk keeps the maximum of the same
+    # amplitudes, so the two distances are equal, not close. A graph item is a CZ
+    # run: the map permutes the run's rows as it renames the gates' targets
     rng = np.random.default_rng(seed)
     plus = sv.plus_state(n)
     for _ in range(3):
@@ -502,7 +508,7 @@ def check_streamed_distance(n: int, seed: int) -> None:
         b, b_gates = with_graph(rng, n, random_circuit(rng, n, 10))
         a_state, b_state = sv.apply_gates(plus, a_gates), sv.apply_gates(plus, b_gates)
         assert sv._streamed_distance(n, a, b) == sv.amp_distance(a_state, b_state)
-        assert sv._streamed_distance(n, a, a) == 0.0  # only if both sides are relabelled alike
+        assert sv._streamed_distance(n, a, a) == 0.0  # only if both sides are mapped alike
         assert sv._streamed_distance(n, a, a_gates) == 0.0
 
 
@@ -535,5 +541,20 @@ def test_graph_items_of_the_wrong_size_fail_before_any_sign_vector(monkeypatch, 
     for g in (gr.path(n - 1), gr.path(n + 1)):
         with pytest.raises(SizeMismatchError):
             sv._plan(sv.plus_state(n), [sv.Gate.h(0), g])
-        with pytest.raises(SizeMismatchError):  # at 17 qubits after the relabelling
+        with pytest.raises(SizeMismatchError):  # at 17 qubits, checked before the qubit map
             sv._streamed_distance(n, [sv.Gate.h(n - 1)], [g])
+
+
+@pytest.mark.parametrize("n", [4, 17])
+def test_out_of_range_targets_fail_before_any_sign_vector(monkeypatch, n):
+    # at 17 qubits the comparison maps its qubits, and an out-of-range target has no
+    # image under the map: a list's checks must all run before it, whatever comes first
+    def no_sign_vector(*args):
+        raise AssertionError("a sign vector was built for an out-of-range target")
+
+    monkeypatch.setattr(sv, "_sign_vector", no_sign_vector)
+    good = [gr.path(n), sv.Gate.cz(0, n - 1), sv.Gate.h(n - 1)]
+    for bad in (sv.Gate.h(n), sv.Gate.h(-1), sv.Gate.cz(0, n), sv.Gate.cz(n, 0)):
+        for a, b in ((good + [bad], good), ([bad] + good, good), ([sv.Gate.h(n - 1)], good + [bad])):
+            with pytest.raises(VertexRangeError):
+                sv._streamed_distance(n, a, b)

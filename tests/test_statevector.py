@@ -208,8 +208,8 @@ def test_theorem1_matches_the_dense_oracle_on_every_small_case():
 
 @pytest.mark.parametrize("n1, n2", [(8, 8), (8, 9), (9, 9), (9, 10), (10, 10)])
 def test_theorem1_matches_the_dense_oracle_past_one_tile(n1, n2):
-    # from 17 qubits the second core sits at qubit 16 or above, so the walk relabels it
-    # into the tile; at 16 it is the top qubit, and the state is one tile
+    # from 17 qubits the second core sits at qubit 16 or above, so the qubit map moves
+    # it into the tile; at 16 it is the top qubit, and the state is one tile
     rng = np.random.default_rng(4100 + 10 * n1 + n2)
     g1, g2 = random_graph(rng, n1), random_graph(rng, n2)
     c2 = int(rng.integers(min(16 - n1, n2 - 1), n2))
