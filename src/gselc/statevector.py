@@ -21,22 +21,30 @@ a1 = t0 - t1: 4 passes instead of 7, and exact, because fl(-s*a1) = -fl(s*a1)
 and x + (-y) is x - y in IEEE arithmetic (on complex data only the sign of a
 zero part can differ). On |+>^n every tile starts equal, so the list's leading
 ops that stay inside a tile (single-qubit gates, and CZ runs below the tile's
-top bit) run once, and each tile starts from a copy of their result. Every
-amplitude gets the same operations in the same order whatever the tiling, so
-results keep their bits. ``_streamed_distance`` walks two gate lists on |+>^n
-over the same tiles and keeps only the largest deviation and the norms, so it
-makes neither 2^n state; ``verify_theorem1`` and
-``encoding.build_logical_cluster`` compare through it. A ``Graph`` in a list is
-one CZ run, so a graph state is the list ``[graph]``; its symmetric bit rows go
-into the run unchanged, as into ``graph_state``. Past one 2^16-amplitude tile
-``_plan`` renames the qubits of both lists by one map, so that every
-single-qubit target sits high in a tile, where the kernel is fastest.
-``amp_distance`` and ``equal_up_to_global_phase`` work block by block
-with no 2^n temporary. The tests keep index-based reference kernels that these
-must match bit for bit.
+top bit) run once, and each tile starts from a copy of their result. In
+``apply_gates`` every amplitude gets the same operations in the same order
+whatever the tiling, so results keep their bits, zero signs included.
+``_streamed_distance`` walks two gate lists on |+>^n over the same tiles and
+keeps only the largest deviation and the norms, so it makes neither 2^n state;
+``verify_theorem1`` and ``encoding.build_logical_cluster`` compare through it.
+Past one tile it runs each list's gates once per tile class: a sign vector is
+a quadratic form (Dehaene and De Moor, PRA 68, 042318), so tile s reads the
+first tile's signs times +-1 times a character (-1)^(w(s).l), w linear, and
+tiles whose characters agree on the gates' targets differ by a +-1 diagonal E
+constant on every amplitude pair a gate couples. IEEE rounding is sign-
+symmetric, fl(-a*b) = -fl(a*b) and fl(-a +- -b) = -fl(a +- b), so the gates
+take E x to E times their result on x, but for the sign of an exact zero:
+hence no classes in ``apply_gates``, whose results keep their zero signs,
+while the comparison reads only |a - b| and |a|^2. A ``Graph`` in a list is one
+CZ run; its symmetric bit rows go into the run unchanged, as into
+``graph_state``. Past one 2^16-amplitude tile ``_plan`` renames the qubits of
+both lists by one map, so that every single-qubit target sits high in a tile,
+where the kernel is fastest. ``amp_distance`` and ``equal_up_to_global_phase``
+work block by block with no 2^n temporary. The tests keep index-based
+reference kernels that these must match bit for bit.
 
 Amplitudes stay float64 while they are all real: ``plus_state`` (a read-only
-zero-stride view of 2^(-n/2), which allocates nothing) and ``graph_state``
+zero-stride view of one float64, 2^(-n/2), so 8 bytes) and ``graph_state``
 return float64, and ``apply_gates`` keeps float64 when every gate of the list
 is real (H, X, Z, CZ), else it promotes each tile to complex128 as it copies it
 in. This is exact: for a real matrix entry c and a real amplitude x the
@@ -205,9 +213,9 @@ def _check_cap(n: int, max_qubits: int) -> None:
 
 
 def plus_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """|+>^n, the blank slate every graph state starts from: a read-only zero-stride view."""
+    """|+>^n, the blank slate every graph state starts from: one float64 as a read-only zero-stride view."""
     _check_cap(n, max_qubits)
-    return StateVector(n, np.broadcast_to(2.0 ** (-n / 2), 1 << n), _owned=True)
+    return StateVector(n, np.ndarray(1 << n, np.float64, np.array([2.0 ** (-n / 2)]), 0, (0,)), _owned=True)
 
 
 def _single_qubit_inplace(amps: np.ndarray, q: int, entries, scratch, butterfly: bool) -> None:
@@ -276,22 +284,8 @@ def graph_state(g: Graph, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     return StateVector(g.n, amps, _owned=True)
 
 
-def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, bool]:
-    """A gate list as tile operations, their dtype, the smallest tile that runs them,
-    and whether a single-qubit gate is among them (the kernel then needs scratch).
-
-    An item is a ``Gate`` or a ``Graph``; a graph is a run of CZs, one per edge.
-    Targets and graph sizes are checked first, before anything is allocated. The
-    dtype is float64 for a float64 input and real gates (H, X, Z, CZ), else
-    complex128. Every single-qubit target lies inside the tile: the kernel pairs
-    amplitudes 2^q apart, Z and sqrt(iZ) included. A run of CZs and graphs is
-    XORed into symmetric bit rows, a graph's rows straight in and a CZ as both
-    of its bits: pairs that cancel leave nothing, and any other run becomes one
-    int8 sign vector, shared by every tile, with its highest qubit. ``label``,
-    if given, renames each qubit q ``label[q]`` once the checks have passed: a
-    single-qubit target, and each run's rows, permuted once per run.
-    """
-    items = list(items)
+def _check(sv: StateVector, items: list) -> tuple[bool, bool]:
+    """Check a gate list's targets and graph sizes: (tiles stay float64, has a single-qubit gate)."""
     n = sv.n_qubits
     real = sv.amps.dtype == np.float64
     single = False
@@ -307,6 +301,27 @@ def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, b
             single = True
             if item.kind not in _REAL:
                 real = False
+    return real, single
+
+
+def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, bool]:
+    """A gate list as tile operations, their dtype, the smallest tile that runs them,
+    and whether a single-qubit gate is among them (the kernel then needs scratch).
+
+    An item is a ``Gate`` or a ``Graph``; a graph is a run of CZs, one per edge.
+    ``_check`` runs first, before anything is allocated. The
+    dtype is float64 for a float64 input and real gates (H, X, Z, CZ), else
+    complex128. Every single-qubit target lies inside the tile: the kernel pairs
+    amplitudes 2^q apart, Z and sqrt(iZ) included. A run of CZs and graphs is
+    XORed into symmetric bit rows, a graph's rows straight in and a CZ as both
+    of its bits: pairs that cancel leave nothing, and any other run becomes one
+    int8 sign vector, shared by every tile, with its highest qubit. ``label``,
+    if given, renames each qubit q ``label[q]`` once the checks have passed: a
+    single-qubit target, and each run's rows, permuted once per run.
+    """
+    items = list(items)
+    n = sv.n_qubits
+    real, single = _check(sv, items)
     entries = _REAL if real else _ENTRIES
     ops = []
     top = 0
@@ -355,16 +370,10 @@ def _run_tile(src: np.ndarray, ops: list[tuple], tile: np.ndarray, start: int, s
             tile *= op[1][start : start + tile.size]
 
 
-def _walk(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool, out: np.ndarray | None = None):
-    """Run a plan over ``src`` one tile of ``size`` at a time, yielding each finished tile.
-
-    The tiles are ``out``'s own slices when it is given, else one reused buffer.
-    The kernel scratch is allocated only when the plan has a single-qubit gate.
-    A zero-stride ``src`` (``plus_state``) starts every tile equal, and the
-    leading ops that act inside a tile keep them equal: single-qubit gates, and
-    sign vectors whose highest qubit is below the tile's bits. That prefix runs
-    once into a head tile, and each tile starts from a copy of it.
-    """
+def _head(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
+    """The kernel scratch (for a single-qubit gate), and the prefix: on a zero-stride ``src`` (every
+    tile equal) the k leading single-qubit gates and sign vectors below the tile's top bit, run once
+    into a head tile (None when k is 0)."""
     scratch = np.empty((2, min(size // 2, _BLOCK)), dtype) if single else None
     k = 0
     if src.strides == (0,):
@@ -375,11 +384,48 @@ def _walk(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool, out
     if k:
         head = np.empty(size, dtype)
         _run_tile(src[:size], ops[:k], head, 0, scratch)
+    return scratch, k, head
+
+
+def _walk(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool, out: np.ndarray | None = None):
+    """Run a plan over ``src`` one tile of ``size`` at a time, yielding each finished tile: ``out``'s
+    own slices when it is given, else one reused buffer, each started from the head tile if any."""
+    scratch, k, head = _head(src, ops, dtype, size, single)
     buf = np.empty(size, dtype) if out is None else None
     for start in range(0, src.size, size):
         tile = buf if out is None else out[start : start + size]
         _run_tile(src[start : start + size] if head is None else head, ops[k:], tile, start, scratch)
         yield tile
+
+
+def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
+    """A plan on |+>^n by tile class (module docstring): the tiles' keys, v[s + 2^q] v[s] for each
+    sign vector v from the prefix to the last single-qubit gate and each of their targets q, and a
+    walk that runs those ops on the first tile r of each class it meets and yields (class tile, its
+    squared norm, the int8 factors that make it tile s: sign slices at s after the last gate, and
+    for s != r the earlier ones at s and at r, which make E)."""
+    scratch, k, head = _head(src, ops, dtype, size, single)
+    end = max([k] + [i + 1 for i, op in enumerate(ops) if op[0] == "gate"])
+    stretch = [op[1] for op in ops[k:end] if op[0] == "sign"]
+    targets = sorted({op[1] for op in ops[k:end] if op[0] == "gate"})
+    keys = {s: tuple(v[s + (1 << q)] * v[s] for v in stretch for q in targets) for s in range(0, src.size, size)}
+    base = src[:size] if head is None else head
+    tile = base if end == k else np.empty(size, dtype)
+
+    def walk(order):
+        key = rep = None
+        for start in order:
+            if keys[start] != key:
+                key, rep = keys[start], start
+                if tile is not base:
+                    _run_tile(base, ops[k:end], tile, start, scratch)
+                norm = tile.size * abs(tile[0]) ** 2 if tile.strides == (0,) else float(np.vdot(tile, tile).real)
+            factors = [op[1][start : start + size] for op in ops[end:]]
+            if start != rep:
+                factors += [v[x : x + size] for v in stretch for x in (start, rep)]
+            yield tile, norm, factors
+
+    return keys, walk
 
 
 def apply_gates(sv: StateVector, gates) -> StateVector:
@@ -433,12 +479,14 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
     the smallest tile) both ``_plan`` calls take one qubit map that moves every
     single-qubit target to the top bits of that tile, where the kernel runs
     fastest. A state that fits in one such tile is not relabelled: there it
-    would place nothing. The lists then walk the same tiles side by side; each
-    tile pair adds to the running maximum and to both squared norms, which are
-    then checked as ``StateVector`` checks them.
+    would place nothing. Past one tile the tiles go in order of both lists' keys
+    (``_classes``), and a tile pair (a, Fa), (b, Fb) gives |a Fa - b Fb| as
+    |a - b F|, F the product of both factor lists; it adds to the maximum and to
+    both squared norms, which are then checked as ``StateVector`` checks them.
     """
     plus = plus_state(n, max_qubits=n)
     sides = [list(a_items), list(b_items)]
+    _check(plus, sides[1])  # before the first list's plan allocates; its own plan checks it again
     bits = (4 * _BLOCK).bit_length() - 1
     label = None
     if n > bits:
@@ -450,12 +498,24 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
         label = dict(zip(rest[:cut] + top + rest[cut:], range(n)))
     plans = [_plan(plus, side, label) for side in sides]
     size = max(plan[2] for plan in plans)
+    out = None
+    if size == plus.amps.size:
+        tiles = [next(_walk(plus.amps, ops, dtype, size, single)) for ops, dtype, _, single in plans]
+        walks = [[(t, float(np.vdot(t, t).real), [])] for t in tiles]
+    else:
+        classes = [_classes(plus.amps, ops, dtype, size, single) for ops, dtype, _, single in plans]
+        order = sorted(classes[0][0], key=lambda start: [keys[start] for keys, _ in classes])
+        walks = [walk(order) for _, walk in classes]
+        sign, out = np.empty(size, np.int8), np.empty(size, np.result_type(plans[0][1], plans[1][1]))
     worst = 0.0
     norms = [0.0, 0.0]
-    for ta, tb in zip(*(_walk(plus.amps, ops, dtype, size, single) for ops, dtype, _, single in plans)):
-        norms[0] += float(np.vdot(ta, ta).real)
-        norms[1] += float(np.vdot(tb, tb).real)
-        diff = np.subtract(ta, tb, out=ta if ta.dtype == np.result_type(ta, tb) else None)  # in place if it fits
+    for (ta, na, fa), (tb, nb, fb) in zip(*walks):
+        norms[0] += na
+        norms[1] += nb
+        x, y = (ta, tb) if tb.dtype == np.float64 else (tb, ta)  # F goes on a float64 side if there is one
+        if fa or fb:
+            y = np.multiply(y, reduce(lambda p, v: np.multiply(p, v, out=sign), fa + fb), out=out)
+        diff = np.subtract(x, y, out=x if out is None and x.dtype == np.result_type(x, y) else out)
         mags = np.abs(diff, out=diff if diff.dtype == np.float64 else None)
         worst = mags.max(initial=worst)
     for norm in norms:

@@ -321,6 +321,8 @@ def test_streamed_comparison_checks_both_norms(monkeypatch):
         sv._streamed_distance(3, [], [sv.Gate.h(0)])
     with pytest.raises(ValueError, match="not normalized"):
         sv._streamed_distance(3, [sv.Gate.h(0)], [])
+    with pytest.raises(ValueError, match="not normalized"):  # past one tile: the norm of each class tile
+        sv._streamed_distance(17, [sv.Gate.cz(0, 16)], [sv.Gate.cz(0, 16), sv.Gate.h(0)])
 
 
 def test_logical_cluster_build_makes_no_full_state():

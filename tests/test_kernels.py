@@ -558,3 +558,104 @@ def test_out_of_range_targets_fail_before_any_sign_vector(monkeypatch, n):
         for a, b in ((good + [bad], good), ([bad] + good, good), ([sv.Gate.h(n - 1)], good + [bad])):
             with pytest.raises(VertexRangeError):
                 sv._streamed_distance(n, a, b)
+
+
+@pytest.mark.parametrize("n", [4, 17])
+def test_second_list_is_checked_before_the_first_is_planned(monkeypatch, n):
+    # the first list holds a CZ run, so planning it would build a sign vector
+    def no_sign_vector(*args):
+        raise AssertionError("a sign vector was built before the second list was checked")
+
+    monkeypatch.setattr(sv, "_sign_vector", no_sign_vector)
+    first = [sv.Gate.cz(0, n - 1), sv.Gate.h(0), gr.path(n)]
+    with pytest.raises(VertexRangeError):
+        sv._streamed_distance(n, first, [sv.Gate.h(0), sv.Gate.cz(1, n)])
+    for g in (gr.path(n - 1), gr.path(n + 1)):
+        with pytest.raises(SizeMismatchError):
+            sv._streamed_distance(n, first, [sv.Gate.h(n - 1), g])
+
+
+def walk_classes(monkeypatch, n: int, a: list, b: list) -> tuple[float, list, list]:
+    """``_streamed_distance(n, a, b)`` and the class keys of both lists' tiles, in tile order."""
+    seen = []
+    classes = sv._classes
+
+    def recorded(*args):
+        keys, walk = classes(*args)
+        seen.append([keys[start] for start in sorted(keys)])
+        return keys, walk
+
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_classes", recorded)
+        got = sv._streamed_distance(n, a, b)
+    return got, *seen
+
+
+def class_walk_cases(n: int) -> list[tuple[str, list, list]]:
+    """Pairs of lists past one 2^16-amplitude tile whose CZs join single-qubit targets
+    to qubit n-1 or n-2, which the comparison's qubit map keeps above the tile."""
+    h, z, cz, t = sv.Gate.h, sv.Gate.z, sv.Gate.cz, n - 1
+    rng = np.random.default_rng(9500 + n)
+    g1, g2 = random_graph(rng, n), random_graph(rng, n)
+    return [
+        # two CZ runs between gates on each side, and a tail run after the last gate
+        ("two runs", [cz(0, t), h(0), cz(1, t), cz(0, t - 1), h(1), h(0), cz(2, t)],
+         [cz(0, t - 1), h(0), cz(1, t), h(1), cz(0, t), z(1), h(0)]),
+        ("graph items", [g1, h(0), cz(0, t), h(5)], [g2, h(5), h(0), g1]),
+        # one side complex128, the other float64
+        ("mixed dtypes", [cz(0, t), sv.Gate.sqrt_iz(0), cz(0, t - 1), h(0), cz(3, t)],
+         [cz(0, t), h(0), cz(1, t - 1), h(1)]),
+        # the keys of the first list differ on the lower target's bit only, then on the higher's
+        ("lower target bit", [cz(0, t), h(0), h(1)], [cz(1, t - 1), h(1)]),
+        ("higher target bit", [cz(1, t), h(0), h(1)], [cz(0, t - 1), h(0)]),
+        # one state two ways, H H = I up to rounding; CZ(3, n-3) makes tiles of one class
+        # differ in sign, and a tile given the wrong signs shows as 2^(1-n/2)
+        ("one state", [cz(0, t), cz(1, t - 1), cz(3, t - 2), h(0), h(1), h(1), h(0)],
+         [cz(3, t - 2), cz(1, t - 1), cz(0, t)]),
+    ]
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_class_walk_gives_the_bits_of_the_dense_oracle(monkeypatch, n):
+    # each list runs its stretch once per class; the deviation is that of the two
+    # dense states, bit for bit, and the walk met at least two classes
+    plus = sv.plus_state(n)
+    for name, a, b in class_walk_cases(n):
+        got, a_keys, b_keys = walk_classes(monkeypatch, n, a, b)
+        want = sv.amp_distance(sv.apply_gates(plus, a), sv.apply_gates(plus, b))
+        assert float.hex(got) == float.hex(want), name
+        assert len(a_keys) == 1 << (n - 16) and len(set(a_keys)) >= 2, name
+        if n == 20:  # a class of three tiles or more: a factor taken at the wrong tile shows
+            assert max(map(a_keys.count, a_keys)) >= 3, name
+        assert walk_classes(monkeypatch, n, a, list(a))[0] == 0.0, name
+
+
+def test_one_tile_comparison_makes_no_keys(monkeypatch):
+    # a state of one tile takes the walk of apply_gates: no keys, no sort
+    def no_classes(*args):
+        raise AssertionError("a one-tile comparison made class keys")
+
+    monkeypatch.setattr(sv, "_classes", no_classes)
+    rng = np.random.default_rng(9600)
+    for n in (1, 5, 12, 16):
+        plus = sv.plus_state(n)
+        a, b = random_circuit(rng, n, 12), [random_graph(rng, n), sv.Gate.h(n - 1)]
+        want = sv.amp_distance(sv.apply_gates(plus, a), sv.apply_gates(plus, b))
+        assert sv._streamed_distance(n, a, b) == want
+
+
+def test_logical_cluster_build_runs_each_core_hadamard_once_per_class(monkeypatch):
+    # N = 4: the first Hadamard layer runs once in the prefix; the second runs on the
+    # two classes of the 16 tiles (only the last block's ancillae sit above the tile)
+    from gselc import encoding as enc
+
+    calls = []
+    kernel = sv._single_qubit_inplace
+
+    def counted(*args):
+        calls.append(args[1])
+        kernel(*args)
+
+    monkeypatch.setattr(sv, "_single_qubit_inplace", counted)
+    assert enc.build_logical_cluster(4)[0].passed
+    assert len(calls) == 12
