@@ -120,14 +120,17 @@ def from_edges(n: int, edges) -> Graph:
 
 
 def random_graph(rng, n: int) -> Graph:
-    """Graph with pair {i, j} an edge when its ``rng.integers(0, 2)`` draw is 1.
+    """Graph with pair {i, j} an edge when its ``rng.integers(0, 2)`` bit is 1.
 
-    One scalar draw per pair i < j, in row-major order, so seeded runs repeat.
+    One draw of a bit per pair i < j, read in row-major order, so seeded runs
+    repeat: it gives the bits, and leaves the generator in the state, of one
+    scalar draw per pair.
     """
+    bits = iter(rng.integers(0, 2, size=max(n * (n - 1) // 2, 0)).tolist())
     rows = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.integers(0, 2):
+            if next(bits):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph(n, tuple(rows))

@@ -10,13 +10,17 @@ at least 2 * ``_BLOCK`` amplitudes in from its input and runs the whole gate
 list on it. A tile is widened until every single-qubit target lies inside it
 (qubit n-1: the whole vector). Each run of consecutive CZs, one pair or many,
 is XORed into bit rows and applied as one multiply by the tile's slice of the
-int8 sign vector (-1)^(x^T U x) (``graph_state`` is 2^(-n/2) times it).
-``_sign_vector`` doubles the vector once per qubit, copying the signs so far
-for a qubit with no lower partner and else multiplying in one row of the
-128 x 128 Walsh table per 7 bits, at a cost that does not grow with the edge
-count. A single-qubit gate walks its tile in blocks of ``_BLOCK``
-amplitude pairs through a two-block scratch, allocated only for a list that
-has one. H runs as a butterfly, t0 = s*a0, t1 = s*a1, a0 = t0 + t1,
+int8 sign vector (-1)^(x^T U x) (``graph_state`` is 2^(-n/2) times it, and
+the only whole sign vector made). A sign vector is a quadratic form (Dehaene
+and De Moor, PRA 68, 042318): with x = s + l, s above a tile of 2^b and l
+inside it, v[s + l] = sigma(s) v[l] (-1)^(w(s).l), w linear in s. So a run
+keeps one base, its first 2^b signs, and each tile's slice is made from it
+(``_form``, ``_factor``). ``_sign_vector`` doubles a vector once per qubit,
+copying the signs so far for a qubit with no lower partner and else
+multiplying in one row of the 128 x 128 Walsh table per 7 bits, at a cost that
+does not grow with the edge count. A single-qubit gate walks its tile in
+blocks of ``_BLOCK`` amplitude pairs through a two-block scratch, allocated
+only for a list that has one. H runs as a butterfly, t0 = s*a0, t1 = s*a1, a0 = t0 + t1,
 a1 = t0 - t1: 4 passes instead of 7, and exact, because fl(-s*a1) = -fl(s*a1)
 and x + (-y) is x - y in IEEE arithmetic (on complex data only the sign of a
 zero part can differ). On |+>^n every tile starts equal, so the list's leading
@@ -27,10 +31,8 @@ whatever the tiling, so results keep their bits, zero signs included.
 ``_streamed_distance`` walks two gate lists on |+>^n over the same tiles and
 keeps only the largest deviation and the norms, so it makes neither 2^n state;
 ``verify_theorem1`` and ``encoding.build_logical_cluster`` compare through it.
-Past one tile it runs each list's gates once per tile class: a sign vector is
-a quadratic form (Dehaene and De Moor, PRA 68, 042318), so tile s reads the
-first tile's signs times +-1 times a character (-1)^(w(s).l), w linear, and
-tiles whose characters agree on the gates' targets differ by a +-1 diagonal E
+Past one tile it runs each list's gates once per tile class: tiles whose
+characters agree on the gates' targets differ by a +-1 diagonal E
 constant on every amplitude pair a gate couples. IEEE rounding is sign-
 symmetric, fl(-a*b) = -fl(a*b) and fl(-a +- -b) = -fl(a +- b), so the gates
 take E x to E times their result on x, but for the sign of an exact zero:
@@ -270,7 +272,10 @@ def _sign_vector(n: int, rows: list[int]) -> np.ndarray:
         if i > _LOW:
             walsh = np.multiply.outer(_WALSH[(row >> _LOW) & _MASK, : 1 << min(i - _LOW, _LOW)], walsh).ravel()
         half = sign[1 << i : 2 << i]
-        np.multiply(sign[: 1 << i].reshape(-1, walsh.size), walsh, out=half.reshape(-1, walsh.size))
+        if i > 2 * _LOW:  # the row is 2^14 entries, one per index of each 2^14 block of the half
+            np.multiply(sign[: 1 << i].reshape(-1, walsh.size), walsh, out=half.reshape(-1, walsh.size))
+        else:  # the row is the whole half: no reshape, which small states feel
+            np.multiply(sign[: 1 << i], walsh, out=half)
         for lo in range(2 * _LOW, i, _LOW):
             width = 1 << min(i - lo, _LOW)
             half.reshape(-1, width, 1 << lo)[...] *= _WALSH[(row >> lo) & _MASK, :width, None]
@@ -315,7 +320,8 @@ def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, b
     amplitudes 2^q apart, Z and sqrt(iZ) included. A run of CZs and graphs is
     XORed into symmetric bit rows, a graph's rows straight in and a CZ as both
     of its bits: pairs that cancel leave nothing, and any other run becomes one
-    int8 sign vector, shared by every tile, with its highest qubit. ``label``,
+    sign op, its rows and its highest qubit, which ``_head`` binds to the tile
+    size; no sign vector is built here. ``label``,
     if given, renames each qubit q ``label[q]`` once the checks have passed: a
     single-qubit target, and each run's rows, permuted once per run.
     """
@@ -348,7 +354,7 @@ def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, b
             rows = moved
         hi = max((i for i, row in enumerate(rows) if row), default=None)
         if hi is not None:
-            ops.append(("sign", _sign_vector(n, rows), hi))
+            ops.append(("sign", rows, hi))
     return ops, np.float64 if real else complex, min(1 << n, max(2 * _BLOCK, 2 << top)), single
 
 
@@ -357,40 +363,77 @@ def _in_cz_run(item) -> bool:
     return isinstance(item, Graph) or item.kind is GateKind.CZ
 
 
-def _run_tile(src: np.ndarray, ops: list[tuple], tile: np.ndarray, start: int, scratch) -> None:
-    """Copy ``src`` into ``tile``, the tile at ``start``, and run the ops on it, in order.
+def _form(rows: list[int], start: int, low: int) -> tuple[int, int]:
+    """(sigma, w) of a CZ run's symmetric rows at the tile ``start`` whose in-tile bits are ``low``.
 
-    An op is a single-qubit gate or a CZ run's sign vector, sliced to the tile.
+    With x = start + l, x^T U x = start^T U start + w.l + l^T U l, w the XOR of
+    row j's ``low`` bits over the bits j of ``start``: the run's slice at the
+    tile is sigma = (-1)^(start^T U start) times its first tile times the
+    character (-1)^(w.l). Only the bits of row j below j are read, as in
+    ``_sign_vector``.
+    """
+    w = edges = 0
+    for j in mask_vertices(start):
+        w ^= rows[j] & low
+        edges += (rows[j] & start & ((1 << j) - 1)).bit_count()
+    return 1 - 2 * (edges & 1), w
+
+
+def _factor(form: tuple[int, int], size: int, base: np.ndarray | None = None):
+    """The int8 tile sigma * base * (-1)^(w.l), l < ``size``: the character is the outer product of
+    one ``_WALSH`` row per ``_LOW`` bits of l, the highest outermost, built from the lowest up so that
+    each product's inner loop is the longer factor. ``base`` itself (None: all ones) when sigma is 1
+    and w is 0."""
+    sigma, w = form
+    if sigma > 0 and not w:
+        return base
+    bits = size.bit_length() - 1
+    walsh = [_WALSH[(w >> lo) & _MASK, : 1 << min(bits - lo, _LOW)] for lo in range(0, bits, _LOW)]
+    f = reduce(lambda low, high: np.multiply.outer(high, low).ravel(), walsh[1:], sigma * walsh[0])
+    return f if base is None else np.multiply(f, base, out=f)
+
+
+def _run_tile(src: np.ndarray, ops: list[tuple], tile: np.ndarray, start: int, scratch) -> None:
+    """Copy ``src`` into ``tile``, the tile at ``start``, and run the bound ops on it, in order.
+
+    An op is a single-qubit gate or a CZ run, whose slice at the tile is made from its base; the run
+    keeps its last slice, which the next tiles often share (a lone CZ: runs of 2^k tiles).
     """
     tile[...] = src
     for op in ops:
         if op[0] == "gate":
             _single_qubit_inplace(tile, op[1], op[2], scratch, op[3])
-        else:
-            tile *= op[1][start : start + tile.size]
+            continue
+        form = _form(op[1], start, tile.size - 1) if start else (1, 0)
+        if form != op[4][0]:
+            op[4][:] = form, _factor(form, tile.size, op[3])
+        tile *= op[4][1]
 
 
 def _head(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
-    """The kernel scratch (for a single-qubit gate), and the prefix: on a zero-stride ``src`` (every
-    tile equal) the k leading single-qubit gates and sign vectors below the tile's top bit, run once
-    into a head tile (None when k is 0)."""
+    """A plan bound to tiles of ``size`` = 2^b: each sign op gains its base, its first tile of signs,
+    ``_sign_vector(b, rows[:b])``, and a slot for its last slice and that slice's (sigma, w). Also the
+    kernel scratch (for a single-qubit gate), and the prefix: on a zero-stride ``src`` (every tile
+    equal) the k leading single-qubit gates and CZ runs below the tile's top bit, run once into a
+    head tile (None when k is 0)."""
+    bits = size.bit_length() - 1
+    ops = [op if op[0] == "gate" else (*op, _sign_vector(bits, op[1][:bits]), [None, None]) for op in ops]
     scratch = np.empty((2, min(size // 2, _BLOCK)), dtype) if single else None
     k = 0
     if src.strides == (0,):
-        bits = size.bit_length() - 1
         while k < len(ops) and (ops[k][0] == "gate" or ops[k][2] < bits):
             k += 1
     head = None
     if k:
         head = np.empty(size, dtype)
         _run_tile(src[:size], ops[:k], head, 0, scratch)
-    return scratch, k, head
+    return ops, scratch, k, head
 
 
 def _walk(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool, out: np.ndarray | None = None):
     """Run a plan over ``src`` one tile of ``size`` at a time, yielding each finished tile: ``out``'s
     own slices when it is given, else one reused buffer, each started from the head tile if any."""
-    scratch, k, head = _head(src, ops, dtype, size, single)
+    ops, scratch, k, head = _head(src, ops, dtype, size, single)
     buf = np.empty(size, dtype) if out is None else None
     for start in range(0, src.size, size):
         tile = buf if out is None else out[start : start + size]
@@ -399,16 +442,23 @@ def _walk(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool, out
 
 
 def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
-    """A plan on |+>^n by tile class (module docstring): the tiles' keys, v[s + 2^q] v[s] for each
-    sign vector v from the prefix to the last single-qubit gate and each of their targets q, and a
-    walk that runs those ops on the first tile r of each class it meets and yields (class tile, its
-    squared norm, the int8 factors that make it tile s: sign slices at s after the last gate, and
-    for s != r the earlier ones at s and at r, which make E)."""
-    scratch, k, head = _head(src, ops, dtype, size, single)
+    """A plan on |+>^n by tile class (module docstring): the tiles' keys, a walk, and the product of
+    the bases of the sign ops after the last single-qubit gate (None when there are none).
+
+    The key of tile s holds 1 - 2 * bit q of w(s) (``_form``), the sign v[s + 2^q] v[s] of a run's
+    slice, for each CZ run from the prefix to the last single-qubit gate and each of their targets q.
+    The walk runs those ops on the first tile r of each class it meets and yields (class tile, its
+    squared norm, the (sigma, w) that make it tile s): those of the runs after the last gate at s,
+    and for s != r those of the earlier runs at s and at r, which make E = sigma * (-1)^(w.l), since
+    each base squares to one.
+    """
+    ops, scratch, k, head = _head(src, ops, dtype, size, single)
     end = max([k] + [i + 1 for i, op in enumerate(ops) if op[0] == "gate"])
     stretch = [op[1] for op in ops[k:end] if op[0] == "sign"]
     targets = sorted({op[1] for op in ops[k:end] if op[0] == "gate"})
-    keys = {s: tuple(v[s + (1 << q)] * v[s] for v in stretch for q in targets) for s in range(0, src.size, size)}
+    forms = {s: [_form(rows, s, size - 1) for rows in stretch] for s in range(0, src.size, size)}
+    keys = {s: tuple(1 - 2 * (w >> q & 1) for _, w in form for q in targets) for s, form in forms.items()}
+    tail = reduce(np.multiply, [op[3] for op in ops[end:]]) if end < len(ops) else None
     base = src[:size] if head is None else head
     tile = base if end == k else np.empty(size, dtype)
 
@@ -420,12 +470,12 @@ def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
                 if tile is not base:
                     _run_tile(base, ops[k:end], tile, start, scratch)
                 norm = tile.size * abs(tile[0]) ** 2 if tile.strides == (0,) else float(np.vdot(tile, tile).real)
-            factors = [op[1][start : start + size] for op in ops[end:]]
+            parts = [_form(op[1], start, size - 1) for op in ops[end:]]
             if start != rep:
-                factors += [v[x : x + size] for v in stretch for x in (start, rep)]
-            yield tile, norm, factors
+                parts += forms[start] + forms[rep]
+            yield tile, norm, reduce(lambda p, f: (p[0] * f[0], p[1] ^ f[1]), parts, (1, 0))
 
-    return keys, walk
+    return keys, walk, tail
 
 
 def apply_gates(sv: StateVector, gates) -> StateVector:
@@ -480,9 +530,11 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
     single-qubit target to the top bits of that tile, where the kernel runs
     fastest. A state that fits in one such tile is not relabelled: there it
     would place nothing. Past one tile the tiles go in order of both lists' keys
-    (``_classes``), and a tile pair (a, Fa), (b, Fb) gives |a Fa - b Fb| as
-    |a - b F|, F the product of both factor lists; it adds to the maximum and to
-    both squared norms, which are then checked as ``StateVector`` checks them.
+    (``_classes``). The two lists' tail bases are multiplied once, and a tile
+    pair (a, Fa), (b, Fb), each factor given as (sigma, w), gives |a Fa - b Fb|
+    as |a - b F|, F = sigma_a sigma_b (tail bases) (-1)^((w_a ^ w_b).l), one
+    character per pair; it adds to the maximum and to both squared norms, which
+    are then checked as ``StateVector`` checks them.
     """
     plus = plus_state(n, max_qubits=n)
     sides = [list(a_items), list(b_items)]
@@ -498,23 +550,26 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
         label = dict(zip(rest[:cut] + top + rest[cut:], range(n)))
     plans = [_plan(plus, side, label) for side in sides]
     size = max(plan[2] for plan in plans)
-    out = None
+    out = tail = None
     if size == plus.amps.size:
         tiles = [next(_walk(plus.amps, ops, dtype, size, single)) for ops, dtype, _, single in plans]
-        walks = [[(t, float(np.vdot(t, t).real), [])] for t in tiles]
+        walks = [[(t, float(np.vdot(t, t).real), (1, 0))] for t in tiles]
     else:
         classes = [_classes(plus.amps, ops, dtype, size, single) for ops, dtype, _, single in plans]
-        order = sorted(classes[0][0], key=lambda start: [keys[start] for keys, _ in classes])
-        walks = [walk(order) for _, walk in classes]
-        sign, out = np.empty(size, np.int8), np.empty(size, np.result_type(plans[0][1], plans[1][1]))
+        order = sorted(classes[0][0], key=lambda start: [keys[start] for keys, *_ in classes])
+        walks = [walk(order) for _, walk, _ in classes]
+        tails = [t for *_, t in classes if t is not None]
+        tail = reduce(np.multiply, tails) if tails else None
+        out = np.empty(size, np.result_type(plans[0][1], plans[1][1]))
     worst = 0.0
     norms = [0.0, 0.0]
     for (ta, na, fa), (tb, nb, fb) in zip(*walks):
         norms[0] += na
         norms[1] += nb
         x, y = (ta, tb) if tb.dtype == np.float64 else (tb, ta)  # F goes on a float64 side if there is one
-        if fa or fb:
-            y = np.multiply(y, reduce(lambda p, v: np.multiply(p, v, out=sign), fa + fb), out=out)
+        f = _factor((fa[0] * fb[0], fa[1] ^ fb[1]), size, tail)
+        if f is not None:
+            y = np.multiply(y, f, out=out)
         diff = np.subtract(x, y, out=x if out is None and x.dtype == np.result_type(x, y) else out)
         mags = np.abs(diff, out=diff if diff.dtype == np.float64 else None)
         worst = mags.max(initial=worst)

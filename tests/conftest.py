@@ -77,6 +77,17 @@ def reference_sign_vector(n: int, lower: list[int]) -> np.ndarray:
     return sign
 
 
+def reference_random_graph(rng: np.random.Generator, n: int) -> gr.Graph:
+    """``random_graph`` by one scalar ``rng.integers(0, 2)`` draw per pair i < j, in row-major order."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.integers(0, 2):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return gr.Graph(n, tuple(rows))
+
+
 def reference_graph_state(g: gr.Graph) -> np.ndarray:
     """|G> by one index-mask CZ per edge on |+>^n."""
     amps = np.full(1 << g.n, 2.0 ** (-g.n / 2), dtype=complex)

@@ -335,4 +335,4 @@ def test_logical_cluster_build_makes_no_full_state():
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak < 8 << 20
+    assert peak < 3 << 20

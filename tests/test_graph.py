@@ -16,7 +16,7 @@ from gselc.errors import (
 )
 from gselc.graph import all_graphs, random_graph
 
-from conftest import complete_bipartite
+from conftest import complete_bipartite, reference_random_graph
 
 
 def test_new_empty():
@@ -203,6 +203,19 @@ def test_random_graph_draws_one_bit_per_pair_in_row_major_order():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         assert g.edges() == [p for p in pairs if ref.integers(0, 2)]
         assert rng.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
+
+
+def test_random_graph_matches_one_scalar_draw_per_pair():
+    # the one vector draw gives the graph of the scalar reference and leaves the
+    # generator where it leaves it, from any point of the stream
+    for seed in range(60):
+        for n in range(0, 13):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            skip = seed % 3
+            rng.integers(0, 7, size=skip)
+            ref.integers(0, 7, size=skip)
+            assert random_graph(rng, n) == reference_random_graph(ref, n), (seed, n)
+            assert rng.bit_generator.state == ref.bit_generator.state, (seed, n)
 
 
 def test_all_graphs_enumerates_each_graph_once():

@@ -581,9 +581,9 @@ def walk_classes(monkeypatch, n: int, a: list, b: list) -> tuple[float, list, li
     classes = sv._classes
 
     def recorded(*args):
-        keys, walk = classes(*args)
+        keys, walk, tail = classes(*args)
         seen.append([keys[start] for start in sorted(keys)])
-        return keys, walk
+        return keys, walk, tail
 
     with monkeypatch.context() as m:
         m.setattr(sv, "_classes", recorded)
@@ -659,3 +659,91 @@ def test_logical_cluster_build_runs_each_core_hadamard_once_per_class(monkeypatc
     monkeypatch.setattr(sv, "_single_qubit_inplace", counted)
     assert enc.build_logical_cluster(4)[0].passed
     assert len(calls) == 12
+
+
+def tile_identity_graphs(n: int) -> list[gr.Graph]:
+    """Graphs on n vertices whose tile slices take every form: dense random rows, a path (most
+    tiles' w is 0), one edge between the two top qubits (w = 0 but sigma = -1 where both are set)
+    and one edge from qubit 0 to the top (w = 1 on half the tiles)."""
+    rng = np.random.default_rng(9700 + n)
+    return [random_graph(rng, n), random_graph(rng, n), gr.path(n),
+            gr.from_edges(n, [(n - 2, n - 1)]), gr.from_edges(n, [(0, n - 1), (n - 3, n - 1)])]
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_tile_slices_are_sign_times_base_times_character(n):
+    # v[s + l] = sigma(s) v[l] (-1)^(w(s).l) for every tile start s of 2^b amplitudes
+    for g in tile_identity_graphs(n):
+        full = sv._sign_vector(n, g.rows)
+        for b in (15, 16):
+            base = sv._sign_vector(b, g.rows[:b])
+            assert np.array_equal(base, full[: 1 << b])
+            for s in range(0, 1 << n, 1 << b):
+                got = sv._factor(sv._form(g.rows, s, (1 << b) - 1), 1 << b, base)
+                assert np.array_equal(got, full[s : s + (1 << b)]), (g.edges()[:3], b, s)
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_class_keys_are_the_sign_products_of_the_full_vectors(n):
+    # the key of tile s holds v[s + 2^q] v[s] for each run v up to the last gate and each target q,
+    # and the tail is the product of the later runs' first tiles
+    rng = np.random.default_rng(9800 + n)
+    plus = sv.plus_state(n)
+    h, cz = sv.Gate.h, sv.Gate.cz
+    for top in (14, 15):
+        g1, g2 = random_graph(rng, n), random_graph(rng, n)
+        items = [g1, h(0), h(top), g2, h(3), h(top - 1), cz(2, n - 1), cz(5, n - 2), sv.Gate.h(1), cz(0, n - 1)]
+        ops, dtype, size, single = sv._plan(plus, items)
+        assert size == 2 << top
+        keys, _, tail = sv._classes(plus.amps, ops, dtype, size, single)
+        runs = [sv._sign_vector(n, op[1]) for op in ops if op[0] == "sign"]
+        targets = [0, 1, 3, top - 1, top]
+        assert len(runs) == 4 and len(keys) == 1 << (n - top - 1)
+        for s, key in keys.items():
+            assert key == tuple(v[s + (1 << q)] * v[s] for v in runs[:3] for q in targets), (top, s)
+        assert np.array_equal(tail, runs[3][:size])
+
+
+def recorded_sign_vectors(monkeypatch) -> list[int]:
+    """The qubit counts ``_sign_vector`` is asked for from now on."""
+    asked = []
+    build = sv._sign_vector
+
+    def recorded(n, rows):
+        asked.append(n)
+        return build(n, rows)
+
+    monkeypatch.setattr(sv, "_sign_vector", recorded)
+    return asked
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_streamed_distance_builds_no_sign_vector_past_one_tile(monkeypatch, n):
+    # every run gets one base of the comparison's tile, 2^15 or 2^16 amplitudes
+    plus = sv.plus_state(n)
+    cases = class_walk_cases(n)
+    wants = [sv.amp_distance(sv.apply_gates(plus, a), sv.apply_gates(plus, b)) for _, a, b in cases]
+    rng = np.random.default_rng(9900 + n)
+    g1, g2 = random_graph(rng, n // 2), random_graph(rng, n - n // 2)
+    asked = recorded_sign_vectors(monkeypatch)
+    for (name, a, b), want in zip(cases, wants):
+        asked.clear()
+        assert sv._streamed_distance(n, a, b) == want, name
+        assert asked and max(asked) <= 16, name
+    asked.clear()
+    assert sv.verify_theorem1(g1, 0, g2, 1).passed
+    assert asked and max(asked) <= 16
+
+
+def test_apply_gates_builds_no_sign_vector_past_one_tile(monkeypatch):
+    # 20 qubits, every single-qubit target below qubit 15: tiles of 2^15, one base per run
+    n = 20
+    state = sv.graph_state(gr.path(n))
+    gates = [sv.Gate.cz(3, 17), sv.Gate.h(0), sv.Gate.h(14), gr.cycle(n), sv.Gate.cz(18, 19), sv.Gate.x(7)]
+    gates_as_czs = [item for gate in gates for item in
+                    ([sv.Gate.cz(a, b) for a, b in gate.edges()] if isinstance(gate, gr.Graph) else [gate])]
+    want = reference_run(state.amps.astype(complex), n, gates_as_czs)
+    asked = recorded_sign_vectors(monkeypatch)
+    got = sv.apply_gates(state, gates).amps
+    assert asked == [15, 15]  # CZ(3, 17), and the cycle with CZ(18, 19) as one run
+    assert np.array_equal(got, want)

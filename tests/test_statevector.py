@@ -228,7 +228,7 @@ def test_theorem1_reads_its_tolerance(monkeypatch):
 
 
 def test_theorem1_builds_no_full_state():
-    # 20 qubits, second core at qubit 19: the traced peak stays under half of one float64 state
+    # 20 qubits, second core at qubit 19: the traced peak stays under a quarter of one float64 state
     rng = np.random.default_rng(4200)
     g1, g2 = random_graph(rng, 10), random_graph(rng, 10)
     tracemalloc.start()
@@ -237,7 +237,7 @@ def test_theorem1_builds_no_full_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * 8 * (1 << 20), peak
+    assert peak < 2 << 20, peak
 
 
 def test_theorem1_checks_the_cap_before_any_sign_vector(monkeypatch):
