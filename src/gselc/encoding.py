@@ -8,10 +8,11 @@ CZs each; the shortcut seeds one physical CZ between cores before encoding and
 lets the Hadamards inside the encoders do the rest.
 
 ``build_logical_cluster`` checks the qubit cap before it records a gate, then
-records both constructions in CircuitLogs and runs the two gate lists side by
-side on |+>^n over cache-sized tiles, keeping only the largest deviation and
-the norms, so neither 2^n state is made. Gate-count claims are audited against
-the same gate lists that make the compared states.
+records both constructions in CircuitLogs and compares the two gate lists on
+|+>^n. Past one tile (16 qubits and up) they run side by side over cache-sized
+tiles, keeping only the largest deviation and the norms, so neither 2^n state
+is made; a smaller chain goes to the dense oracle. Gate-count claims are
+audited against the same gate lists that make the compared states.
 """
 
 from __future__ import annotations
@@ -216,9 +217,10 @@ def build_logical_cluster(
     """Even-length logical cluster state built both ways: (report, direct log, elc log).
 
     The report passes when the shortcut state equals the direct one within
-    ``tol`` and both logs pass ``counts_match``. The two gate lists run side by
-    side, tile by tile, so neither 2^n state is made; the deviation equals
-    ``amp_distance`` of the two logs run on ``plus_state`` bit for bit.
+    ``tol`` and both logs pass ``counts_match``. Past one tile the two gate
+    lists run side by side, tile by tile, so neither 2^n state is made; the
+    deviation equals ``amp_distance`` of the two logs run on ``plus_state`` bit
+    for bit.
     """
     _check_chain_length(n_logical)
     n_qubits = BLOCK_SIZE * n_logical

@@ -9,6 +9,7 @@ immutable values; every operation returns a new graph.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -72,6 +73,10 @@ class Graph:
                 raise SelfLoopError(f"self-loop stored at vertex {i}")
 
     def check_vertex(self, v: int) -> None:
+        try:  # numpy integers pass
+            operator.index(v)
+        except TypeError:
+            raise VertexRangeError(f"vertex {v!r} is not an integer") from None
         if not 0 <= v < self.n:
             raise VertexRangeError(f"vertex {v} out of range for n = {self.n}")
 

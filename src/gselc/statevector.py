@@ -28,22 +28,23 @@ ops that stay inside a tile (single-qubit gates, and CZ runs below the tile's
 top bit) run once, and each tile starts from a copy of their result. In
 ``apply_gates`` every amplitude gets the same operations in the same order
 whatever the tiling, so results keep their bits, zero signs included.
-``_streamed_distance`` walks two gate lists on |+>^n over the same tiles and
-keeps only the largest deviation and the norms, so it makes neither 2^n state;
-``verify_theorem1`` and ``encoding.build_logical_cluster`` compare through it.
-Past one tile it runs each list's gates once per tile class: tiles whose
-characters agree on the gates' targets differ by a +-1 diagonal E
-constant on every amplitude pair a gate couples. IEEE rounding is sign-
-symmetric, fl(-a*b) = -fl(a*b) and fl(-a +- -b) = -fl(a +- b), so the gates
-take E x to E times their result on x, but for the sign of an exact zero:
-hence no classes in ``apply_gates``, whose results keep their zero signs,
-while the comparison reads only |a - b| and |a|^2. A ``Graph`` in a list is one
-CZ run; its symmetric bit rows go into the run unchanged, as into
-``graph_state``. Past one 2^16-amplitude tile ``_plan`` renames the qubits of
-both lists by one map, so that every single-qubit target sits high in a tile,
-where the kernel is fastest. ``amp_distance`` and ``equal_up_to_global_phase``
-work block by block with no 2^n temporary. The tests keep index-based
-reference kernels that these must match bit for bit.
+``_streamed_distance`` compares two gate lists on |+>^n for ``verify_theorem1``
+and ``encoding.build_logical_cluster``: up to one smallest tile, or with a
+complex gate, by the dense oracle; past one tile by walking both over the same
+float64 tiles, keeping only the largest deviation and the norms (no 2^n state
+is made) and running each list's gates once per tile class. Tiles whose
+characters agree on the gates' targets differ by a +-1 diagonal E constant on
+every amplitude pair a gate couples. IEEE rounding is sign-symmetric,
+fl(-a*b) = -fl(a*b) and fl(-a +- -b) = -fl(a +- b), so the gates take E x to E
+times their result on x, but for the sign of an exact zero: hence no classes in
+``apply_gates``, whose results keep their zero signs, while the comparison
+reads only |a - b| and |a|^2. A ``Graph`` in a list is one CZ run; its
+symmetric bit rows go into the run unchanged, as into ``graph_state``. Past
+one 2^16-amplitude tile ``_plan`` renames the qubits of both lists by one map,
+so that every single-qubit target sits high in a tile, where the kernel is
+fastest. ``amp_distance`` and ``equal_up_to_global_phase`` work block by block
+with no 2^n temporary. The tests keep index-based reference kernels that these
+must match bit for bit.
 
 Amplitudes stay float64 while they are all real: ``plus_state`` (a read-only
 zero-stride view of one float64, 2^(-n/2), so 8 bytes) and ``graph_state``
@@ -60,6 +61,7 @@ convention.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import reduce
@@ -144,6 +146,11 @@ class Gate:
         want = 2 if self.kind is GateKind.CZ else 1
         if len(self.targets) != want:
             raise BadArityError(f"{self.kind.value} needs {want} target(s), got {self.targets}")
+        if type(self.targets[0]) is not int or type(self.targets[-1]) is not int:  # plain ints skip the conversion
+            try:  # numpy integers pass, stored as ints
+                object.__setattr__(self, "targets", tuple(map(operator.index, self.targets)))
+            except TypeError:
+                raise BadArityError(f"{self.kind.value} targets must be integers, got {self.targets}") from None
         if self.kind is GateKind.CZ and self.targets[0] == self.targets[1]:
             raise BadArityError(f"CZ targets must be distinct, got {self.targets}")
 
@@ -195,11 +202,13 @@ class StateVector:
             raise SizeMismatchError(
                 f"expected {1 << self.n_qubits} amplitudes, got shape {self.amps.shape}"
             )
-        if self.amps.strides == (0,):  # one value repeated (plus_state): size * |value|^2
-            _check_norm(self.amps.size * abs(self.amps[0]) ** 2)
-        else:
-            _check_norm(float(np.vdot(self.amps, self.amps).real))
+        _check_norm(_squared_norm(self.amps))
         self.amps.setflags(write=False)
+
+
+def _squared_norm(amps: np.ndarray) -> float:
+    """sum |a|^2: size * |value|^2 for one value repeated (a zero-stride view), else ``np.vdot``."""
+    return amps.size * abs(amps[0]) ** 2 if amps.strides == (0,) else float(np.vdot(amps, amps).real)
 
 
 def _check_norm(squared: float) -> None:
@@ -314,16 +323,15 @@ def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, b
     and whether a single-qubit gate is among them (the kernel then needs scratch).
 
     An item is a ``Gate`` or a ``Graph``; a graph is a run of CZs, one per edge.
-    ``_check`` runs first, before anything is allocated. The
-    dtype is float64 for a float64 input and real gates (H, X, Z, CZ), else
-    complex128. Every single-qubit target lies inside the tile: the kernel pairs
-    amplitudes 2^q apart, Z and sqrt(iZ) included. A run of CZs and graphs is
-    XORed into symmetric bit rows, a graph's rows straight in and a CZ as both
-    of its bits: pairs that cancel leave nothing, and any other run becomes one
-    sign op, its rows and its highest qubit, which ``_head`` binds to the tile
-    size; no sign vector is built here. ``label``,
-    if given, renames each qubit q ``label[q]`` once the checks have passed: a
-    single-qubit target, and each run's rows, permuted once per run.
+    ``_check`` runs first, before anything is allocated. The dtype is float64
+    for a float64 input and real gates (H, X, Z, CZ), else complex128. Every
+    single-qubit target lies inside the tile: the kernel pairs amplitudes 2^q
+    apart, Z and sqrt(iZ) included. A run of CZs and graphs is XORed into
+    symmetric bit rows, a graph's rows straight in and a CZ as both of its bits:
+    pairs that cancel leave nothing, and any other run becomes one sign op, its
+    rows, which ``_head`` binds to the tile size; no sign vector is built here.
+    ``label``, if given, renames each qubit q ``label[q]`` once the checks have
+    passed: a single-qubit target, and each run's rows, permuted once per run.
     """
     items = list(items)
     n = sv.n_qubits
@@ -352,9 +360,8 @@ def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, b
             for i, row in enumerate(rows):
                 moved[label[i]] = sum(1 << label[j] for j in mask_vertices(row))
             rows = moved
-        hi = max((i for i, row in enumerate(rows) if row), default=None)
-        if hi is not None:
-            ops.append(("sign", rows, hi))
+        if any(rows):
+            ops.append(("sign", rows))
     return ops, np.float64 if real else complex, min(1 << n, max(2 * _BLOCK, 2 << top)), single
 
 
@@ -405,9 +412,9 @@ def _run_tile(src: np.ndarray, ops: list[tuple], tile: np.ndarray, start: int, s
             _single_qubit_inplace(tile, op[1], op[2], scratch, op[3])
             continue
         form = _form(op[1], start, tile.size - 1) if start else (1, 0)
-        if form != op[4][0]:
-            op[4][:] = form, _factor(form, tile.size, op[3])
-        tile *= op[4][1]
+        if form != op[3][0]:
+            op[3][:] = form, _factor(form, tile.size, op[2])
+        tile *= op[3][1]
 
 
 def _head(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
@@ -421,24 +428,13 @@ def _head(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
     scratch = np.empty((2, min(size // 2, _BLOCK)), dtype) if single else None
     k = 0
     if src.strides == (0,):
-        while k < len(ops) and (ops[k][0] == "gate" or ops[k][2] < bits):
+        while k < len(ops) and (ops[k][0] == "gate" or not any(ops[k][1][bits:])):
             k += 1
     head = None
     if k:
         head = np.empty(size, dtype)
         _run_tile(src[:size], ops[:k], head, 0, scratch)
     return ops, scratch, k, head
-
-
-def _walk(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool, out: np.ndarray | None = None):
-    """Run a plan over ``src`` one tile of ``size`` at a time, yielding each finished tile: ``out``'s
-    own slices when it is given, else one reused buffer, each started from the head tile if any."""
-    ops, scratch, k, head = _head(src, ops, dtype, size, single)
-    buf = np.empty(size, dtype) if out is None else None
-    for start in range(0, src.size, size):
-        tile = buf if out is None else out[start : start + size]
-        _run_tile(src[start : start + size] if head is None else head, ops[k:], tile, start, scratch)
-        yield tile
 
 
 def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
@@ -458,7 +454,7 @@ def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
     targets = sorted({op[1] for op in ops[k:end] if op[0] == "gate"})
     forms = {s: [_form(rows, s, size - 1) for rows in stretch] for s in range(0, src.size, size)}
     keys = {s: tuple(1 - 2 * (w >> q & 1) for _, w in form for q in targets) for s, form in forms.items()}
-    tail = reduce(np.multiply, [op[3] for op in ops[end:]]) if end < len(ops) else None
+    tail = reduce(np.multiply, [op[2] for op in ops[end:]]) if end < len(ops) else None
     base = src[:size] if head is None else head
     tile = base if end == k else np.empty(size, dtype)
 
@@ -469,7 +465,7 @@ def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
                 key, rep = keys[start], start
                 if tile is not base:
                     _run_tile(base, ops[k:end], tile, start, scratch)
-                norm = tile.size * abs(tile[0]) ** 2 if tile.strides == (0,) else float(np.vdot(tile, tile).real)
+                norm = _squared_norm(tile)
             parts = [_form(op[1], start, size - 1) for op in ops[end:]]
             if start != rep:
                 parts += forms[start] + forms[rep]
@@ -485,10 +481,12 @@ def apply_gates(sv: StateVector, gates) -> StateVector:
     The result is float64 when the input is float64 and every gate is real (H,
     X, Z, CZ), otherwise complex128.
     """
-    plan = _plan(sv, gates)
-    amps = np.empty(sv.amps.size, plan[1])
-    for _ in _walk(sv.amps, *plan, amps):
-        pass
+    ops, dtype, size, single = _plan(sv, gates)
+    ops, scratch, k, head = _head(sv.amps, ops, dtype, size, single)
+    amps = np.empty(sv.amps.size, dtype)
+    for start in range(0, amps.size, size):
+        src = sv.amps[start : start + size] if head is None else head
+        _run_tile(src, ops[k:], amps[start : start + size], start, scratch)
     return StateVector(sv.n_qubits, amps, _owned=True)
 
 
@@ -519,17 +517,18 @@ def amp_distance(a: StateVector, b: StateVector) -> float:
 
 
 def _streamed_distance(n: int, a_items, b_items) -> float:
-    """``amp_distance`` of the two gate lists, each run on |+>^n, making neither state.
+    """``amp_distance`` of the two gate lists, each run on |+>^n; past one tile, making neither state.
 
     An item is a ``Gate`` or a ``Graph``, which ``_plan`` takes as one CZ run, so
-    a graph state is the list ``[graph]``. The caller checks the qubit cap.
-    |+>^n is invariant under any relabelling of its qubits, and relabelling both
-    results alike only permutes their amplitudes, so when the state is larger
-    than a 2^16-amplitude tile (4 * ``_BLOCK``; measured a little faster than
-    the smallest tile) both ``_plan`` calls take one qubit map that moves every
-    single-qubit target to the top bits of that tile, where the kernel runs
-    fastest. A state that fits in one such tile is not relabelled: there it
-    would place nothing. Past one tile the tiles go in order of both lists' keys
+    a graph state is the list ``[graph]``. The caller checks the qubit cap. Both
+    lists are checked first; a state of at most 2 * ``_BLOCK`` amplitudes (one
+    smallest tile) or a list with a complex gate then goes to the dense oracle,
+    so the walk sees float64 tiles only. |+>^n is invariant under any relabelling
+    of its qubits, and relabelling both results alike only permutes their
+    amplitudes, so past a 2^16-amplitude tile (4 * ``_BLOCK``; measured a little
+    faster than the smallest tile) both ``_plan`` calls take one qubit map that
+    moves every single-qubit target to the top bits of that tile, where the
+    kernel runs fastest. The tiles go in order of both lists' keys
     (``_classes``). The two lists' tail bases are multiplied once, and a tile
     pair (a, Fa), (b, Fb), each factor given as (sigma, w), gives |a Fa - b Fb|
     as |a - b F|, F = sigma_a sigma_b (tail bases) (-1)^((w_a ^ w_b).l), one
@@ -538,7 +537,9 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
     """
     plus = plus_state(n, max_qubits=n)
     sides = [list(a_items), list(b_items)]
-    _check(plus, sides[1])  # before the first list's plan allocates; its own plan checks it again
+    real = [_check(plus, side)[0] for side in sides]  # both lists, before anything is allocated
+    if plus.amps.size <= 2 * _BLOCK or not all(real):
+        return amp_distance(apply_gates(plus, sides[0]), apply_gates(plus, sides[1]))
     bits = (4 * _BLOCK).bit_length() - 1
     label = None
     if n > bits:
@@ -546,33 +547,23 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
         top = [q for q in range(n) if q in singles]
         rest = [q for q in range(n) if q not in singles]
         cut = max(bits - len(top), 0)
-        # the other qubits keep their order
-        label = dict(zip(rest[:cut] + top + rest[cut:], range(n)))
+        label = dict(zip(rest[:cut] + top + rest[cut:], range(n)))  # the other qubits keep their order
     plans = [_plan(plus, side, label) for side in sides]
     size = max(plan[2] for plan in plans)
-    out = tail = None
-    if size == plus.amps.size:
-        tiles = [next(_walk(plus.amps, ops, dtype, size, single)) for ops, dtype, _, single in plans]
-        walks = [[(t, float(np.vdot(t, t).real), (1, 0))] for t in tiles]
-    else:
-        classes = [_classes(plus.amps, ops, dtype, size, single) for ops, dtype, _, single in plans]
-        order = sorted(classes[0][0], key=lambda start: [keys[start] for keys, *_ in classes])
-        walks = [walk(order) for _, walk, _ in classes]
-        tails = [t for *_, t in classes if t is not None]
-        tail = reduce(np.multiply, tails) if tails else None
-        out = np.empty(size, np.result_type(plans[0][1], plans[1][1]))
+    classes = [_classes(plus.amps, ops, dtype, size, single) for ops, dtype, _, single in plans]
+    order = sorted(classes[0][0], key=lambda start: [keys[start] for keys, *_ in classes])
+    walks = [walk(order) for _, walk, _ in classes]
+    tails = [t for *_, t in classes if t is not None]
+    tail = reduce(np.multiply, tails) if tails else None
+    out = np.empty(size)
     worst = 0.0
     norms = [0.0, 0.0]
     for (ta, na, fa), (tb, nb, fb) in zip(*walks):
         norms[0] += na
         norms[1] += nb
-        x, y = (ta, tb) if tb.dtype == np.float64 else (tb, ta)  # F goes on a float64 side if there is one
         f = _factor((fa[0] * fb[0], fa[1] ^ fb[1]), size, tail)
-        if f is not None:
-            y = np.multiply(y, f, out=out)
-        diff = np.subtract(x, y, out=x if out is None and x.dtype == np.result_type(x, y) else out)
-        mags = np.abs(diff, out=diff if diff.dtype == np.float64 else None)
-        worst = mags.max(initial=worst)
+        np.subtract(ta, tb if f is None else np.multiply(tb, f, out=out), out=out)
+        worst = np.abs(out, out=out).max(initial=worst)
     for norm in norms:
         _check_norm(norm)
     return float(worst)
@@ -623,9 +614,9 @@ def verify_theorem1(
     LHS: CZ between the cores of |G1>|G2>, then a Hadamard on each core.
     RHS: the graph state of the edge-locally-complemented joined graph.
     Both sides are gate lists on |+>^n, ``[G1 + G2, CZ, H, H]`` against
-    ``[ELC graph]``, compared by ``_streamed_distance``: no 2^n state is built,
-    and the cap is checked before anything is allocated. The reported LHS gates
-    are the three after the union's graph state.
+    ``[ELC graph]``, compared by ``_streamed_distance``: past one tile no 2^n
+    state is built, and the cap is checked before anything is allocated. The
+    reported LHS gates are the three after the union's graph state.
     """
     g1.check_vertex(c1)
     g2.check_vertex(c2)

@@ -60,6 +60,17 @@ def test_toggle_edge_involution_and_errors():
         gr.toggle_edge(g, 0, 2)
 
 
+def test_non_integer_vertices_fail_with_a_range_error():
+    g = gr.path(3)
+    for call in (lambda: g.check_vertex(1.5), lambda: gr.local_complement(g, 1.0),
+                 lambda: gr.toggle_edge(g, 0, 2.0), lambda: gr.edge_local_complement(g, 0.0, 1)):
+        with pytest.raises(VertexRangeError, match="not an integer"):
+            call()
+    # numpy integers are indices: they pass
+    assert gr.local_complement(g, np.int64(1)) == gr.local_complement(g, 1)
+    assert g.has_edge(np.int32(0), np.uint8(1))
+
+
 def test_toggle_path_endpoints():
     g = gr.toggle_edge(gr.path(4), 0, 3)
     assert g.edge_count == 4

@@ -496,30 +496,34 @@ def with_graph(rng: np.random.Generator, n: int, gates: list) -> tuple[list, lis
     return gates[:k] + [g] + gates[k:], gates[:k] + [sv.Gate.cz(a, b) for a, b in g.edges()] + gates[k:]
 
 
-def check_streamed_distance(n: int, seed: int) -> None:
-    # random lists draw their targets from every qubit; past one tile both lists are
-    # planned under one qubit map, and the walk keeps the maximum of the same
+def check_streamed_distance(monkeypatch, n: int, seed: int) -> None:
+    # random real lists draw their targets from every qubit; past one tile both lists
+    # are planned under one qubit map, and the walk keeps the maximum of the same
     # amplitudes, so the two distances are equal, not close. A graph item is a CZ
-    # run: the map permutes the run's rows as it renames the gates' targets
+    # run: the map permutes the run's rows as it renames the gates' targets. The
+    # lists are real, so past one tile of 2 * _BLOCK amplitudes the class walk runs
     rng = np.random.default_rng(seed)
     plus = sv.plus_state(n)
+    walked = (1 << n) > 2 * sv._BLOCK
     for _ in range(3):
-        a, a_gates = with_graph(rng, n, random_circuit(rng, n, 10))
-        b, b_gates = with_graph(rng, n, random_circuit(rng, n, 10))
+        a, a_gates = with_graph(rng, n, real_circuit(rng, n, 10))
+        b, b_gates = with_graph(rng, n, real_circuit(rng, n, 10))
         a_state, b_state = sv.apply_gates(plus, a_gates), sv.apply_gates(plus, b_gates)
-        assert sv._streamed_distance(n, a, b) == sv.amp_distance(a_state, b_state)
+        got, *keys = walk_classes(monkeypatch, n, a, b)
+        assert len(keys) == 2 * walked
+        assert got == sv.amp_distance(a_state, b_state)
         assert sv._streamed_distance(n, a, a) == 0.0  # only if both sides are mapped alike
         assert sv._streamed_distance(n, a, a_gates) == 0.0
 
 
 @pytest.mark.parametrize("n", [17, 18])
-def test_streamed_distance_equals_amp_distance_of_both_states(n):
-    check_streamed_distance(n, 9300 + n)
+def test_streamed_distance_equals_amp_distance_of_both_states(monkeypatch, n):
+    check_streamed_distance(monkeypatch, n, 9300 + n)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_streamed_distance_on_small_blocks(small_block, n):
-    check_streamed_distance(n, 9400 + n)
+def test_streamed_distance_on_small_blocks(small_block, monkeypatch, n):
+    check_streamed_distance(monkeypatch, n, 9400 + n)
 
 
 def test_streamed_distance_sees_every_tile():
@@ -602,9 +606,6 @@ def class_walk_cases(n: int) -> list[tuple[str, list, list]]:
         ("two runs", [cz(0, t), h(0), cz(1, t), cz(0, t - 1), h(1), h(0), cz(2, t)],
          [cz(0, t - 1), h(0), cz(1, t), h(1), cz(0, t), z(1), h(0)]),
         ("graph items", [g1, h(0), cz(0, t), h(5)], [g2, h(5), h(0), g1]),
-        # one side complex128, the other float64
-        ("mixed dtypes", [cz(0, t), sv.Gate.sqrt_iz(0), cz(0, t - 1), h(0), cz(3, t)],
-         [cz(0, t), h(0), cz(1, t - 1), h(1)]),
         # the keys of the first list differ on the lower target's bit only, then on the higher's
         ("lower target bit", [cz(0, t), h(0), h(1)], [cz(1, t - 1), h(1)]),
         ("higher target bit", [cz(1, t), h(0), h(1)], [cz(0, t - 1), h(0)]),
@@ -630,18 +631,33 @@ def test_class_walk_gives_the_bits_of_the_dense_oracle(monkeypatch, n):
         assert walk_classes(monkeypatch, n, a, list(a))[0] == 0.0, name
 
 
-def test_one_tile_comparison_makes_no_keys(monkeypatch):
-    # a state of one tile takes the walk of apply_gates: no keys, no sort
+def test_one_tile_and_complex_comparisons_take_the_dense_oracle(monkeypatch):
+    # a state of at most 2 * _BLOCK amplitudes, or a list with a complex gate on either
+    # side, is compared as amp_distance of both apply_gates results: no class keys, the
+    # same bits. 16 qubits of real gates are past the smallest tile: the class walk runs
+    h, cz, t = sv.Gate.h, sv.Gate.cz, 16
+    rng = np.random.default_rng(9600)
+    cases = [(n, real_circuit(rng, n, 6), [random_graph(rng, n), h(n - 1)]) for n in (1, 5, 12, 15)]
+    cases += [
+        (17, [cz(0, t), sv.Gate.sqrt_iz(0), cz(0, t - 1), h(0)], [sv.Gate.sqrt_minus_ix(1), cz(1, t), h(1)]),
+        # one side complex128, the other float64: both go to the oracle
+        (17, [cz(0, t), sv.Gate.sqrt_iz(0), cz(0, t - 1), h(0), cz(3, t)], [cz(0, t), h(0), cz(1, t - 1), h(1)]),
+    ]
+    wants = [sv.amp_distance(sv.apply_gates(sv.plus_state(n), a), sv.apply_gates(sv.plus_state(n), b))
+             for n, a, b in cases]
+    a, b = real_circuit(rng, 16, 6), [random_graph(rng, 16), h(15)]
+    got, *keys = walk_classes(monkeypatch, 16, a, b)
+    assert len(keys) == 2 and got > 0
+    assert got == sv.amp_distance(sv.apply_gates(sv.plus_state(16), a), sv.apply_gates(sv.plus_state(16), b))
+
     def no_classes(*args):
-        raise AssertionError("a one-tile comparison made class keys")
+        raise AssertionError("a dense-route comparison made class keys")
 
     monkeypatch.setattr(sv, "_classes", no_classes)
-    rng = np.random.default_rng(9600)
-    for n in (1, 5, 12, 16):
-        plus = sv.plus_state(n)
-        a, b = random_circuit(rng, n, 12), [random_graph(rng, n), sv.Gate.h(n - 1)]
-        want = sv.amp_distance(sv.apply_gates(plus, a), sv.apply_gates(plus, b))
-        assert sv._streamed_distance(n, a, b) == want
+    for (n, a, b), want in zip(cases, wants):
+        assert want > 0, n
+        assert float.hex(sv._streamed_distance(n, a, b)) == float.hex(want), n
+        assert float.hex(sv._streamed_distance(n, b, a)) == float.hex(want), n
 
 
 def test_logical_cluster_build_runs_each_core_hadamard_once_per_class(monkeypatch):

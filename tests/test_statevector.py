@@ -64,6 +64,22 @@ def test_gate_arity_validation():
         sv.apply_gates(sv.plus_state(2), [sv.Gate.h(2)])
 
 
+def test_non_integer_targets_fail_when_the_gate_is_built():
+    # a float target would pass the range check and fail later inside the planner
+    for make in (lambda: sv.Gate.h(1.5), lambda: sv.Gate.cz(0, 1.0), lambda: sv.Gate(sv.GateKind.X, ("0",))):
+        with pytest.raises(BadArityError, match="must be integers"):
+            make()
+    # numpy integers are indices: they pass, stored as ints, so that 1 << 9 is not a uint8 0
+    gate = sv.Gate.cz(np.int64(0), np.uint8(9))
+    assert gate.targets == (0, 9) and all(type(t) is int for t in gate.targets)
+    assert gate == sv.Gate.cz(0, 9) and gate.label() == "CZ(0, 9)"
+    plus = sv.plus_state(10)
+    got = sv.apply_gates(plus, [sv.Gate.h(np.uint8(0)), gate]).amps
+    assert np.array_equal(got, sv.apply_gates(plus, [sv.Gate.h(0), sv.Gate.cz(0, 9)]).amps)
+    with pytest.raises(VertexRangeError, match="not an integer"):
+        sv.verify_theorem1(gr.path(2), 1.0, gr.path(2), 0)
+
+
 def test_gate_matrix_identities():
     eye = np.eye(2)
     for kind in (sv.GateKind.H, sv.GateKind.X, sv.GateKind.Z):

@@ -44,6 +44,9 @@ def in_process_layers():
     path = sv.graph_state(gr.path(20))
     rng = np.random.default_rng(4200)
     g1, g2 = gr.random_graph(rng, 10), gr.random_graph(rng, 10)
+    rng = np.random.default_rng(4300)
+    s1, s2 = gr.random_graph(rng, 6), gr.random_graph(rng, 6)
+    m1, m2 = gr.random_graph(rng, 8), gr.random_graph(rng, 8)
     cz, h = sv.Gate.cz, sv.Gate.h
     return [
         ("sign vector: _sign_vector(20, rows)", {"n": 20, "graph": "random_graph(default_rng(0), 20)",
@@ -56,6 +59,12 @@ def in_process_layers():
          lambda: sv.apply_gates(path, [cz(3, 17), h(0), h(1)])),
         ("build: build_logical_cluster(2)", {"n": 10}, lambda: enc.build_logical_cluster(2)),
         ("build: build_logical_cluster(4)", {"n": 20}, lambda: enc.build_logical_cluster(4)),
+        ("verify: verify_theorem1, 12 qubits (dense oracle)",
+         {"n": 12, "graphs": "random_graph(default_rng(4300), 6) twice", "cores": [2, 3]},
+         lambda: sv.verify_theorem1(s1, 2, s2, 3)),
+        ("verify: verify_theorem1, 16 qubits, core at qubit 15 (one 2^16 tile, class walk)",
+         {"n": 16, "graphs": "random_graph(default_rng(4300), 8) twice, after the 6-vertex pair", "cores": [4, 15]},
+         lambda: sv.verify_theorem1(m1, 4, m2, 7)),
         ("verify: verify_theorem1, 20 qubits", {"n": 20, "graphs": "random_graph(default_rng(4200), 10) twice",
                                                 "cores": [3, 9]},
          lambda: sv.verify_theorem1(g1, 3, g2, 9)),
