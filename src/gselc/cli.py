@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
+_PARSER = None  # built by the first ``main`` call and reused by the later ones
+
 
 def _max_qubits(args: argparse.Namespace) -> int:
     """The dense-state qubit cap: --max-qubits, else $GSELC_MAX_QUBITS, else 20.
@@ -337,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (GselcError, OSError, ValueError, MemoryError) as exc:

@@ -32,7 +32,8 @@ whatever the tiling, so results keep their bits, zero signs included.
 and ``encoding.build_logical_cluster``: up to one smallest tile, or with a
 complex gate, by the dense oracle; past one tile by walking both over the same
 float64 tiles, keeping only the largest deviation and the norms (no 2^n state
-is made) and running each list's gates once per tile class. Tiles whose
+is made), running each list's gates once per tile class and comparing each
+distinct (class pair, factor) once, while every tile adds its norms. Tiles whose
 characters agree on the gates' targets differ by a +-1 diagonal E constant on
 every amplitude pair a gate couples. IEEE rounding is sign-symmetric,
 fl(-a*b) = -fl(a*b) and fl(-a +- -b) = -fl(a +- b), so the gates take E x to E
@@ -298,8 +299,22 @@ def graph_state(g: Graph, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     return StateVector(g.n, amps, _owned=True)
 
 
-def _check(sv: StateVector, items: list) -> tuple[bool, bool]:
-    """Check a gate list's targets and graph sizes: (tiles stay float64, has a single-qubit gate)."""
+def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, bool]:
+    """A gate list as tile operations, their dtype, the smallest tile that runs them,
+    and whether a single-qubit gate is among them (the kernel then needs scratch).
+
+    An item is a ``Gate`` or a ``Graph``; a graph is a run of CZs, one per edge.
+    Every target and graph size is checked first. The dtype is float64
+    for a float64 input and real gates (H, X, Z, CZ), else complex128. Every
+    single-qubit target lies inside the tile: the kernel pairs amplitudes 2^q
+    apart, Z and sqrt(iZ) included. A run of CZs and graphs is XORed into
+    symmetric bit rows, a graph's rows straight in and a CZ as both of its bits:
+    pairs that cancel leave nothing, and any other run becomes one sign op, its
+    rows, which ``_head`` binds to the tile size; no sign vector is built here.
+    ``label``, if given, renames each qubit q ``label[q]`` once the checks have
+    passed: a single-qubit target, and each run's rows, permuted once per run.
+    """
+    items = list(items)
     n = sv.n_qubits
     real = sv.amps.dtype == np.float64
     single = False
@@ -315,27 +330,6 @@ def _check(sv: StateVector, items: list) -> tuple[bool, bool]:
             single = True
             if item.kind not in _REAL:
                 real = False
-    return real, single
-
-
-def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, bool]:
-    """A gate list as tile operations, their dtype, the smallest tile that runs them,
-    and whether a single-qubit gate is among them (the kernel then needs scratch).
-
-    An item is a ``Gate`` or a ``Graph``; a graph is a run of CZs, one per edge.
-    ``_check`` runs first, before anything is allocated. The dtype is float64
-    for a float64 input and real gates (H, X, Z, CZ), else complex128. Every
-    single-qubit target lies inside the tile: the kernel pairs amplitudes 2^q
-    apart, Z and sqrt(iZ) included. A run of CZs and graphs is XORed into
-    symmetric bit rows, a graph's rows straight in and a CZ as both of its bits:
-    pairs that cancel leave nothing, and any other run becomes one sign op, its
-    rows, which ``_head`` binds to the tile size; no sign vector is built here.
-    ``label``, if given, renames each qubit q ``label[q]`` once the checks have
-    passed: a single-qubit target, and each run's rows, permuted once per run.
-    """
-    items = list(items)
-    n = sv.n_qubits
-    real, single = _check(sv, items)
     entries = _REAL if real else _ENTRIES
     ops = []
     top = 0
@@ -444,9 +438,9 @@ def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
     The key of tile s holds 1 - 2 * bit q of w(s) (``_form``), the sign v[s + 2^q] v[s] of a run's
     slice, for each CZ run from the prefix to the last single-qubit gate and each of their targets q.
     The walk runs those ops on the first tile r of each class it meets and yields (class tile, its
-    squared norm, the (sigma, w) that make it tile s): those of the runs after the last gate at s,
+    squared norm, the (sigma, w) that make it tile s, r): those of the runs after the last gate at s,
     and for s != r those of the earlier runs at s and at r, which make E = sigma * (-1)^(w.l), since
-    each base squares to one.
+    each base squares to one. r names the class tile's contents.
     """
     ops, scratch, k, head = _head(src, ops, dtype, size, single)
     end = max([k] + [i + 1 for i, op in enumerate(ops) if op[0] == "gate"])
@@ -469,7 +463,7 @@ def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
             parts = [_form(op[1], start, size - 1) for op in ops[end:]]
             if start != rep:
                 parts += forms[start] + forms[rep]
-            yield tile, norm, reduce(lambda p, f: (p[0] * f[0], p[1] ^ f[1]), parts, (1, 0))
+            yield tile, norm, reduce(lambda p, f: (p[0] * f[0], p[1] ^ f[1]), parts, (1, 0)), rep
 
     return keys, walk, tail
 
@@ -481,7 +475,11 @@ def apply_gates(sv: StateVector, gates) -> StateVector:
     The result is float64 when the input is float64 and every gate is real (H,
     X, Z, CZ), otherwise complex128.
     """
-    ops, dtype, size, single = _plan(sv, gates)
+    return _apply(sv, *_plan(sv, gates))
+
+
+def _apply(sv: StateVector, ops: list[tuple], dtype, size: int, single: bool) -> StateVector:
+    """``apply_gates`` of a ``_plan`` of ``sv``."""
     ops, scratch, k, head = _head(sv.amps, ops, dtype, size, single)
     amps = np.empty(sv.amps.size, dtype)
     for start in range(0, amps.size, size):
@@ -520,26 +518,26 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
     """``amp_distance`` of the two gate lists, each run on |+>^n; past one tile, making neither state.
 
     An item is a ``Gate`` or a ``Graph``, which ``_plan`` takes as one CZ run, so
-    a graph state is the list ``[graph]``. The caller checks the qubit cap. Both
-    lists are checked first; a state of at most 2 * ``_BLOCK`` amplitudes (one
-    smallest tile) or a list with a complex gate then goes to the dense oracle,
-    so the walk sees float64 tiles only. |+>^n is invariant under any relabelling
-    of its qubits, and relabelling both results alike only permutes their
-    amplitudes, so past a 2^16-amplitude tile (4 * ``_BLOCK``; measured a little
-    faster than the smallest tile) both ``_plan`` calls take one qubit map that
-    moves every single-qubit target to the top bits of that tile, where the
-    kernel runs fastest. The tiles go in order of both lists' keys
-    (``_classes``). The two lists' tail bases are multiplied once, and a tile
-    pair (a, Fa), (b, Fb), each factor given as (sigma, w), gives |a Fa - b Fb|
-    as |a - b F|, F = sigma_a sigma_b (tail bases) (-1)^((w_a ^ w_b).l), one
-    character per pair; it adds to the maximum and to both squared norms, which
-    are then checked as ``StateVector`` checks them.
+    a graph state is the list ``[graph]``. The caller checks the qubit cap. |+>^n
+    is invariant under any relabelling of its qubits, and relabelling both
+    results alike only permutes their amplitudes, so past a 2^16-amplitude tile
+    (4 * ``_BLOCK``; measured a little faster than the smallest tile) both
+    ``_plan`` calls take one qubit map that moves every single-qubit target to
+    the top bits of that tile, where the kernel runs fastest. Both lists are
+    planned, and so checked, first; a state of at most 2 * ``_BLOCK`` amplitudes
+    (one smallest tile) or a list with a complex gate then goes to the dense
+    oracle, which runs those plans, so the walk sees float64 tiles only. The
+    tiles go in order of both lists' keys (``_classes``). The two lists' tail
+    bases are multiplied once, and a tile pair (a, Fa), (b, Fb), each factor
+    given as (sigma, w), gives |a Fa - b Fb| as |a - b F|, F = sigma_a sigma_b
+    (tail bases) (-1)^((w_a ^ w_b).l), one character per pair. Every pair adds
+    to both squared norms, which are then checked as ``StateVector`` checks
+    them; only a pair whose class tiles (their first tiles r) and combined
+    (sigma, w) were not met before adds to the maximum, since a repeat computes
+    the same floats.
     """
     plus = plus_state(n, max_qubits=n)
     sides = [list(a_items), list(b_items)]
-    real = [_check(plus, side)[0] for side in sides]  # both lists, before anything is allocated
-    if plus.amps.size <= 2 * _BLOCK or not all(real):
-        return amp_distance(apply_gates(plus, sides[0]), apply_gates(plus, sides[1]))
     bits = (4 * _BLOCK).bit_length() - 1
     label = None
     if n > bits:
@@ -548,7 +546,9 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
         rest = [q for q in range(n) if q not in singles]
         cut = max(bits - len(top), 0)
         label = dict(zip(rest[:cut] + top + rest[cut:], range(n)))  # the other qubits keep their order
-    plans = [_plan(plus, side, label) for side in sides]
+    plans = [_plan(plus, side, label) for side in sides]  # both lists checked, nothing allocated
+    if plus.amps.size <= 2 * _BLOCK or complex in [plan[1] for plan in plans]:
+        return amp_distance(*(_apply(plus, *plan) for plan in plans))
     size = max(plan[2] for plan in plans)
     classes = [_classes(plus.amps, ops, dtype, size, single) for ops, dtype, _, single in plans]
     order = sorted(classes[0][0], key=lambda start: [keys[start] for keys, *_ in classes])
@@ -558,10 +558,15 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
     out = np.empty(size)
     worst = 0.0
     norms = [0.0, 0.0]
-    for (ta, na, fa), (tb, nb, fb) in zip(*walks):
+    seen = set()
+    for (ta, na, fa, ra), (tb, nb, fb, rb) in zip(*walks):
         norms[0] += na
         norms[1] += nb
-        f = _factor((fa[0] * fb[0], fa[1] ^ fb[1]), size, tail)
+        key = (ra, rb, fa[0] * fb[0], fa[1] ^ fb[1])
+        if key in seen:  # the same class tiles and factor: the same floats, and max is idempotent
+            continue
+        seen.add(key)
+        f = _factor(key[2:], size, tail)
         np.subtract(ta, tb if f is None else np.multiply(tb, f, out=out), out=out)
         worst = np.abs(out, out=out).max(initial=worst)
     for norm in norms:

@@ -394,6 +394,27 @@ def test_stdout_matches_golden(capsys, argv, name):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def test_main_builds_its_parser_once_and_each_run_keeps_its_output(capsys, monkeypatch):
+    # one process: a run, a usage error and another run, each as if it were the only one
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    code, out, _ = run_cli(capsys, "verify", "cs2")
+    assert (code, out) == (0, (GOLDEN / "verify_cs2.json").read_text(encoding="utf-8"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "cs2", "--bogus"])
+    assert exc.value.code == 2 and "unrecognized arguments: --bogus" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "encode", "--n-logical", "4")
+    assert (code, out) == (0, (GOLDEN / "encode_n_logical4.json").read_text(encoding="utf-8"))
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

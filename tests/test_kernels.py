@@ -660,6 +660,49 @@ def test_one_tile_and_complex_comparisons_take_the_dense_oracle(monkeypatch):
         assert float.hex(sv._streamed_distance(n, b, a)) == float.hex(want), n
 
 
+def test_tile_pairs_that_share_a_factor_but_not_their_class_tiles_are_both_compared():
+    # the two 2^16-amplitude tiles have one combined (sigma, w) but lie in different
+    # classes of the second list, so their class tiles differ. The walk meets tile 1
+    # first (its key sorts first); a pair skipped on its factor alone would miss tile
+    # 0, which holds the larger deviation: 2^-7 against tile 1's 2^-8
+    h, z, x, cz = sv.Gate.h, sv.Gate.z, sv.Gate.x, sv.Gate.cz
+    a, b = [cz(0, 15), z(5), h(1), x(3)], [h(3), cz(1, 16), z(7), h(1), h(3)]
+    plus = sv.plus_state(17)
+    want = sv.amp_distance(sv.apply_gates(plus, a), sv.apply_gates(plus, b))
+    assert float.hex(sv._streamed_distance(17, a, b)) == float.hex(want)
+    assert want == pytest.approx(2**-7, abs=1e-15)
+
+
+def test_logical_cluster_build_compares_2_of_its_16_tile_pairs(monkeypatch):
+    # N = 4: the direct and the shortcut list each walk 16 tiles, and the pairs come
+    # in 2 distinct (class tile, class tile, factor) keys, each compared once: one
+    # magnitude pass per compared pair
+    from gselc import encoding as enc
+
+    tiles, compared = [], []
+    classes = sv._classes
+
+    def recorded(*args):
+        keys, walk, tail = classes(*args)
+        tiles.append(len(keys))
+        return keys, walk, tail
+
+    class CountedAbs:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def abs(self, *args, **kwargs):
+            compared.append(args[0].size)
+            return np.abs(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "_classes", recorded)
+    monkeypatch.setattr(sv, "np", CountedAbs())
+    rep, _, _ = enc.build_logical_cluster(4)
+    assert rep.passed and rep.details["max_amp_diff"] == 6.505213034913027e-19
+    assert tiles == [16, 16]
+    assert compared == [1 << 16] * 2
+
+
 def test_logical_cluster_build_runs_each_core_hadamard_once_per_class(monkeypatch):
     # N = 4: the first Hadamard layer runs once in the prefix; the second runs on the
     # two classes of the 16 tiles (only the last block's ancillae sit above the tile)

@@ -7,13 +7,17 @@ Each layer is run once to warm up, then ``--repeat`` times under
 layers also get one more run under ``tracemalloc`` for their traced peak
 (Python and numpy allocations). The CLI layers run as subprocesses, each
 timed from start to exit, with the peak RSS of the child as
-``os.wait4`` reports it. ``--src`` picks the tree under test, so one copy of
-this script can time another checkout. Standard library and numpy only.
+``os.wait4`` reports it; ``gselc encode --n-logical 4`` is also timed in
+process through ``cli.main``, stdout captured, for the parser and the build
+per call. ``--src`` picks the tree under test, so one copy of this script can
+time another checkout. Standard library and numpy only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -36,6 +40,7 @@ def in_process_layers():
     """(name, parameters, zero-argument call) for each in-process layer, bottom up."""
     import numpy as np
 
+    from gselc import cli
     from gselc import encoding as enc
     from gselc import graph as gr
     from gselc import statevector as sv
@@ -59,6 +64,8 @@ def in_process_layers():
          lambda: sv.apply_gates(path, [cz(3, 17), h(0), h(1)])),
         ("build: build_logical_cluster(2)", {"n": 10}, lambda: enc.build_logical_cluster(2)),
         ("build: build_logical_cluster(4)", {"n": 20}, lambda: enc.build_logical_cluster(4)),
+        ("cli in process: main(['encode', '--n-logical', '4'])", {"n": 20, "stdout": "captured"},
+         lambda: in_process_cli(cli, ["encode", "--n-logical", "4"])),
         ("verify: verify_theorem1, 12 qubits (dense oracle)",
          {"n": 12, "graphs": "random_graph(default_rng(4300), 6) twice", "cores": [2, 3]},
          lambda: sv.verify_theorem1(s1, 2, s2, 3)),
@@ -69,6 +76,14 @@ def in_process_layers():
                                                 "cores": [3, 9]},
          lambda: sv.verify_theorem1(g1, 3, g2, 9)),
     ]
+
+
+def in_process_cli(cli, argv: list[str]) -> None:
+    """One ``cli.main`` call in this interpreter, its output captured: the parser and the build,
+    without the interpreter start and the imports that the subprocess runs below also time."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"gselc {' '.join(argv)} exited non-zero")
 
 
 def time_calls(call, repeat: int) -> list[float]:
