@@ -23,17 +23,17 @@ blocks of ``_BLOCK`` amplitude pairs through a two-block scratch, allocated
 only for a list that has one. H runs as a butterfly, t0 = s*a0, t1 = s*a1, a0 = t0 + t1,
 a1 = t0 - t1: 4 passes instead of 7, and exact, because fl(-s*a1) = -fl(s*a1)
 and x + (-y) is x - y in IEEE arithmetic (on complex data only the sign of a
-zero part can differ). On |+>^n every tile starts equal, so the list's leading
-ops that stay inside a tile (single-qubit gates, and CZ runs below the tile's
-top bit) run once, and each tile starts from a copy of their result. In
-``apply_gates`` every amplitude gets the same operations in the same order
-whatever the tiling, so results keep their bits, zero signs included.
-``_streamed_distance`` compares two gate lists on |+>^n for ``verify_theorem1``
-and ``encoding.build_logical_cluster``: up to one smallest tile, or with a
-complex gate, by the dense oracle; past one tile by walking both over the same
-float64 tiles, keeping only the largest deviation and the norms (no 2^n state
-is made), running each list's gates once per tile class and comparing each
-distinct (class pair, factor) once, while every tile adds its norms. Tiles whose
+zero part can differ). ``apply_gates`` runs every tile the same way, a copy
+of its input and then the whole list, so every amplitude gets the same
+operations in the same order whatever the tiling, and results keep their
+bits, zero signs included. ``_streamed_distance`` compares two gate lists on
+|+>^n for ``verify_theorem1`` and ``encoding.build_logical_cluster``: up to
+one smallest tile, or with a complex gate, by the dense oracle; past one tile
+by walking both over the same float64 tiles, keeping only the largest
+deviation and the norms (no 2^n state is made). There every tile starts
+equal, so a list's prefix, its leading ops that stay inside a tile, runs
+once; its other gates run once per tile class, and each distinct (class
+pair, factor) is compared once, while every tile adds its norms. Tiles whose
 characters agree on the gates' targets differ by a +-1 diagonal E constant on
 every amplitude pair a gate couples. IEEE rounding is sign-symmetric,
 fl(-a*b) = -fl(a*b) and fl(-a +- -b) = -fl(a +- b), so the gates take E x to E
@@ -299,9 +299,8 @@ def graph_state(g: Graph, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     return StateVector(g.n, amps, _owned=True)
 
 
-def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, bool]:
-    """A gate list as tile operations, their dtype, the smallest tile that runs them,
-    and whether a single-qubit gate is among them (the kernel then needs scratch).
+def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int]:
+    """A gate list as tile operations, their dtype and the smallest tile that runs them.
 
     An item is a ``Gate`` or a ``Graph``; a graph is a run of CZs, one per edge.
     Every target and graph size is checked first. The dtype is float64
@@ -310,14 +309,13 @@ def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, b
     apart, Z and sqrt(iZ) included. A run of CZs and graphs is XORed into
     symmetric bit rows, a graph's rows straight in and a CZ as both of its bits:
     pairs that cancel leave nothing, and any other run becomes one sign op, its
-    rows, which ``_head`` binds to the tile size; no sign vector is built here.
+    rows, which ``_bind`` binds to the tile size; no sign vector is built here.
     ``label``, if given, renames each qubit q ``label[q]`` once the checks have
     passed: a single-qubit target, and each run's rows, permuted once per run.
     """
     items = list(items)
     n = sv.n_qubits
     real = sv.amps.dtype == np.float64
-    single = False
     for item in items:
         if isinstance(item, Graph):
             if item.n != n:
@@ -326,10 +324,8 @@ def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, b
         for t in item.targets:
             if not 0 <= t < n:
                 raise VertexRangeError(f"target {t} out of range for {n} qubits")
-        if item.kind is not GateKind.CZ:
-            single = True
-            if item.kind not in _REAL:
-                real = False
+        if item.kind is not GateKind.CZ and item.kind not in _REAL:
+            real = False
     entries = _REAL if real else _ENTRIES
     ops = []
     top = 0
@@ -356,7 +352,7 @@ def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int, b
             rows = moved
         if any(rows):
             ops.append(("sign", rows))
-    return ops, np.float64 if real else complex, min(1 << n, max(2 * _BLOCK, 2 << top)), single
+    return ops, np.float64 if real else complex, min(1 << n, max(2 * _BLOCK, 2 << top))
 
 
 def _in_cz_run(item) -> bool:
@@ -411,45 +407,41 @@ def _run_tile(src: np.ndarray, ops: list[tuple], tile: np.ndarray, start: int, s
         tile *= op[3][1]
 
 
-def _head(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
+def _bind(ops: list[tuple], dtype, size: int):
     """A plan bound to tiles of ``size`` = 2^b: each sign op gains its base, its first tile of signs,
     ``_sign_vector(b, rows[:b])``, and a slot for its last slice and that slice's (sigma, w). Also the
-    kernel scratch (for a single-qubit gate), and the prefix: on a zero-stride ``src`` (every tile
-    equal) the k leading single-qubit gates and CZ runs below the tile's top bit, run once into a
-    head tile (None when k is 0)."""
+    kernel scratch, for a list with a single-qubit gate (else None)."""
     bits = size.bit_length() - 1
-    ops = [op if op[0] == "gate" else (*op, _sign_vector(bits, op[1][:bits]), [None, None]) for op in ops]
-    scratch = np.empty((2, min(size // 2, _BLOCK)), dtype) if single else None
-    k = 0
-    if src.strides == (0,):
-        while k < len(ops) and (ops[k][0] == "gate" or not any(ops[k][1][bits:])):
-            k += 1
-    head = None
-    if k:
-        head = np.empty(size, dtype)
-        _run_tile(src[:size], ops[:k], head, 0, scratch)
-    return ops, scratch, k, head
+    scratch = np.empty((2, min(size // 2, _BLOCK)), dtype) if any(op[0] == "gate" for op in ops) else None
+    return [op if op[0] == "gate" else (*op, _sign_vector(bits, op[1][:bits]), [None, None]) for op in ops], scratch
 
 
-def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
-    """A plan on |+>^n by tile class (module docstring): the tiles' keys, a walk, and the product of
-    the bases of the sign ops after the last single-qubit gate (None when there are none).
+def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int):
+    """A plan on |+>^n (``src``) by tile class (module docstring): the tiles' keys, a walk, and the
+    product of the bases of the sign ops after the last single-qubit gate (None when there are none).
 
-    The key of tile s holds 1 - 2 * bit q of w(s) (``_form``), the sign v[s + 2^q] v[s] of a run's
-    slice, for each CZ run from the prefix to the last single-qubit gate and each of their targets q.
-    The walk runs those ops on the first tile r of each class it meets and yields (class tile, its
-    squared norm, the (sigma, w) that make it tile s, r): those of the runs after the last gate at s,
-    and for s != r those of the earlier runs at s and at r, which make E = sigma * (-1)^(w.l), since
-    each base squares to one. r names the class tile's contents.
+    Every tile of |+>^n starts equal, so the prefix, the k leading ops that stay inside a tile
+    (single-qubit gates, and CZ runs below the tile's top bit), runs once into a first tile, and
+    every class tile starts from it. The key of tile s holds 1 - 2 * bit q of w(s) (``_form``), the
+    sign v[s + 2^q] v[s] of a run's slice, for each CZ run from the prefix to the last single-qubit
+    gate and each of their targets q. The walk runs those ops on the first tile r of each class it
+    meets and yields (class tile, its squared norm, the (sigma, w) that make it tile s, r): those of
+    the runs after the last gate at s, and for s != r those of the earlier runs at s and at r, which
+    make E = sigma * (-1)^(w.l), since each base squares to one. r names the class tile's contents.
     """
-    ops, scratch, k, head = _head(src, ops, dtype, size, single)
+    ops, scratch = _bind(ops, dtype, size)
+    bits = size.bit_length() - 1
+    k = next((i for i, op in enumerate(ops) if op[0] == "sign" and any(op[1][bits:])), len(ops))
+    base = src[:size]
+    if k:
+        base = np.empty(size, dtype)
+        _run_tile(src[:size], ops[:k], base, 0, scratch)
     end = max([k] + [i + 1 for i, op in enumerate(ops) if op[0] == "gate"])
     stretch = [op[1] for op in ops[k:end] if op[0] == "sign"]
     targets = sorted({op[1] for op in ops[k:end] if op[0] == "gate"})
     forms = {s: [_form(rows, s, size - 1) for rows in stretch] for s in range(0, src.size, size)}
     keys = {s: tuple(1 - 2 * (w >> q & 1) for _, w in form for q in targets) for s, form in forms.items()}
     tail = reduce(np.multiply, [op[2] for op in ops[end:]]) if end < len(ops) else None
-    base = src[:size] if head is None else head
     tile = base if end == k else np.empty(size, dtype)
 
     def walk(order):
@@ -469,7 +461,7 @@ def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int, single: bool):
 
 
 def apply_gates(sv: StateVector, gates) -> StateVector:
-    """Exact unitary action of a gate list: each tile of the result runs the whole list in turn.
+    """Exact unitary action of a gate list: every tile of the result, |+>^n's too, runs the whole list.
 
     Every target is checked before any work; the input state is never written.
     The result is float64 when the input is float64 and every gate is real (H,
@@ -478,13 +470,12 @@ def apply_gates(sv: StateVector, gates) -> StateVector:
     return _apply(sv, *_plan(sv, gates))
 
 
-def _apply(sv: StateVector, ops: list[tuple], dtype, size: int, single: bool) -> StateVector:
+def _apply(sv: StateVector, ops: list[tuple], dtype, size: int) -> StateVector:
     """``apply_gates`` of a ``_plan`` of ``sv``."""
-    ops, scratch, k, head = _head(sv.amps, ops, dtype, size, single)
+    ops, scratch = _bind(ops, dtype, size)
     amps = np.empty(sv.amps.size, dtype)
     for start in range(0, amps.size, size):
-        src = sv.amps[start : start + size] if head is None else head
-        _run_tile(src, ops[k:], amps[start : start + size], start, scratch)
+        _run_tile(sv.amps[start : start + size], ops, amps[start : start + size], start, scratch)
     return StateVector(sv.n_qubits, amps, _owned=True)
 
 
@@ -550,7 +541,7 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
     if plus.amps.size <= 2 * _BLOCK or complex in [plan[1] for plan in plans]:
         return amp_distance(*(_apply(plus, *plan) for plan in plans))
     size = max(plan[2] for plan in plans)
-    classes = [_classes(plus.amps, ops, dtype, size, single) for ops, dtype, _, single in plans]
+    classes = [_classes(plus.amps, ops, dtype, size) for ops, dtype, _ in plans]
     order = sorted(classes[0][0], key=lambda start: [keys[start] for keys, *_ in classes])
     walks = [walk(order) for _, walk, _ in classes]
     tails = [t for *_, t in classes if t is not None]
@@ -681,7 +672,7 @@ def verify_vertex_lc(
 def verify_stabilizers(
     g: Graph, tol: float = 1e-9, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> Report:
-    """Check X_a prod_{b in N(a)} Z_b fixes |G> for every vertex a."""
+    """Check X_a prod_{b in N(a)} Z_b fixes |G> for every vertex a; no vertex, no check: not passed."""
     base = graph_state(g, max_qubits)
     worst = 0.0
     failures = []
@@ -693,7 +684,7 @@ def verify_stabilizers(
         if diff > tol:
             failures.append(a)
     return Report(
-        passed=not failures,
+        passed=g.n > 0 and not failures,
         details={
             "n_qubits": g.n,
             "generators_checked": g.n,

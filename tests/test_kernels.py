@@ -438,7 +438,7 @@ def test_plus_state_is_a_read_only_zero_stride_view():
 
 def plus_prefix_cases(n: int, top: int) -> list[tuple[str, list[sv.Gate], int]]:
     """Gate lists on |+>^n for tiles of 2^top amplitudes (a target on top-1 fixes the tile),
-    with the number of single-qubit gates in the prefix that runs once."""
+    with the number of single-qubit gates in the prefix that the class walk runs once."""
     h, z, cz, t = sv.Gate.h, sv.Gate.z, sv.Gate.cz, top - 1
     return [
         # the first sign vector reaches the qubit above the tile
@@ -451,6 +451,10 @@ def plus_prefix_cases(n: int, top: int) -> list[tuple[str, list[sv.Gate], int]]:
 
 
 def check_plus_prefix(monkeypatch, n: int) -> None:
+    # apply_gates runs every tile the same way, |+>^n's too: each single-qubit gate once per
+    # tile. The class walk (called here directly, the complex case included) runs the prefix's
+    # gates once per call and each later gate once per class, and each of its tiles times its
+    # factor is the apply_gates tile
     top = max((2 * sv._BLOCK).bit_length() - 1, 3)
     plus = sv.plus_state(n)
     full = sv.StateVector(n, np.full(1 << n, 2.0 ** (-n / 2)), _owned=True)  # every tile runs every op
@@ -462,19 +466,28 @@ def check_plus_prefix(monkeypatch, n: int) -> None:
         kernel(*args)
 
     for name, gates, once in plus_prefix_cases(n, top):
-        assert sv._plan(plus, gates)[2] == 1 << top, name
+        ops, dtype, size = sv._plan(plus, gates)
+        assert size == 1 << top, name
+        singles = sum(gate.kind is not sv.GateKind.CZ for gate in gates)
         with monkeypatch.context() as m:
             m.setattr(sv, "_single_qubit_inplace", counted)
             calls.clear()
             got = sv.apply_gates(plus, gates).amps
-        singles = sum(gate.kind is not sv.GateKind.CZ for gate in gates)
-        assert len(calls) == once + (singles - once) * (1 << (n - top)), name
+            assert len(calls) == singles * (1 << (n - top)), name
+            calls.clear()
+            keys, walk, tail = sv._classes(plus.amps, ops, dtype, size)
+            assert len(calls) == once, name
+            order = sorted(keys, key=keys.get)  # each class met once
+            for start, (tile, _, form, _) in zip(order, walk(order)):
+                f = sv._factor(form, size, tail)
+                assert np.array_equal(tile if f is None else tile * f, got[start : start + size]), (name, start)
+        assert len(calls) == once + (singles - once) * len(set(keys.values())), name
         want = reference_run(np.full(1 << n, 2.0 ** (-n / 2), dtype=complex), n, gates)
         if got.dtype == np.float64:  # the reference's real parts, zero signs included
             assert np.array_equal(bits(got), bits(want.real)), name
         else:  # its values: on complex data the H butterfly may flip a zero part's sign
             assert np.array_equal(got, want), name
-        # and every bit of the walk that runs each op on each tile
+        # and every bit of the walk from a materialized |+>^n
         assert np.array_equal(bits(got), bits(sv.apply_gates(full, gates).amps)), name
 
 
@@ -752,9 +765,9 @@ def test_class_keys_are_the_sign_products_of_the_full_vectors(n):
     for top in (14, 15):
         g1, g2 = random_graph(rng, n), random_graph(rng, n)
         items = [g1, h(0), h(top), g2, h(3), h(top - 1), cz(2, n - 1), cz(5, n - 2), sv.Gate.h(1), cz(0, n - 1)]
-        ops, dtype, size, single = sv._plan(plus, items)
+        ops, dtype, size = sv._plan(plus, items)
         assert size == 2 << top
-        keys, _, tail = sv._classes(plus.amps, ops, dtype, size, single)
+        keys, _, tail = sv._classes(plus.amps, ops, dtype, size)
         runs = [sv._sign_vector(n, op[1]) for op in ops if op[0] == "sign"]
         targets = [0, 1, 3, top - 1, top]
         assert len(runs) == 4 and len(keys) == 1 << (n - top - 1)

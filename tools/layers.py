@@ -5,7 +5,8 @@
 Each layer is run once to warm up, then ``--repeat`` times under
 ``time.perf_counter``; the record keeps the best and the median. In-process
 layers also get one more run under ``tracemalloc`` for their traced peak
-(Python and numpy allocations). The CLI layers run as subprocesses, each
+(Python and numpy allocations). The bit-row graph ops, the bottom layer, make
+``GRAPH_OP_CALLS`` calls per timed run. The CLI layers run as subprocesses, each
 timed from start to exit, with the peak RSS of the child as
 ``os.wait4`` reports it; ``gselc encode --n-logical 4`` is also timed in
 process through ``cli.main``, stdout captured, for the parser and the build
@@ -29,6 +30,8 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# a bit-row graph op takes microseconds: each of its timed runs makes this many calls
+GRAPH_OP_CALLS = 1000
 # the shortcut build's CLI runs, with the argv of their goldens
 CLI_RUNS = {
     "cli: gselc encode --n-logical 4": ["encode", "--n-logical", "4"],
@@ -46,6 +49,9 @@ def in_process_layers():
     from gselc import statevector as sv
 
     dense = gr.random_graph(np.random.default_rng(0), 20)
+    a, b = dense.edges()[0]
+    pairs = [(i, j) for i in range(20) for j in range(i + 1, 20)]
+    hundred = [pairs[int(k)] for k in np.random.default_rng(1).choice(len(pairs), 100, replace=False)]
     path = sv.graph_state(gr.path(20))
     rng = np.random.default_rng(4200)
     g1, g2 = gr.random_graph(rng, 10), gr.random_graph(rng, 10)
@@ -53,7 +59,16 @@ def in_process_layers():
     s1, s2 = gr.random_graph(rng, 6), gr.random_graph(rng, 6)
     m1, m2 = gr.random_graph(rng, 8), gr.random_graph(rng, 8)
     cz, h = sv.Gate.cz, sv.Gate.h
+    seeded = {"graph": "random_graph(default_rng(0), 20)", "edges": dense.edge_count, "calls": GRAPH_OP_CALLS}
     return [
+        ("graph op: local_complement(g, 0)", seeded, repeated(lambda: gr.local_complement(dense, 0))),
+        (f"graph op: edge_local_complement(g, {a}, {b})", seeded,
+         repeated(lambda: gr.edge_local_complement(dense, a, b))),
+        ("graph op: mask_vertices((1 << 20) - 1)", {"calls": GRAPH_OP_CALLS},
+         repeated(lambda: gr.mask_vertices((1 << 20) - 1))),
+        ("graph op: from_edges(20, 100 edges)", {"edges": "100 of the 190 pairs, default_rng(1)",
+                                                 "calls": GRAPH_OP_CALLS},
+         repeated(lambda: gr.from_edges(20, hundred))),
         ("sign vector: _sign_vector(20, rows)", {"n": 20, "graph": "random_graph(default_rng(0), 20)",
                                                  "edges": dense.edge_count},
          lambda: sv._sign_vector(20, dense.rows)),
@@ -76,6 +91,16 @@ def in_process_layers():
                                                 "cores": [3, 9]},
          lambda: sv.verify_theorem1(g1, 3, g2, 9)),
     ]
+
+
+def repeated(call):
+    """``call`` made ``GRAPH_OP_CALLS`` times in one run."""
+
+    def run():
+        for _ in range(GRAPH_OP_CALLS):
+            call()
+
+    return run
 
 
 def in_process_cli(cli, argv: list[str]) -> None:
