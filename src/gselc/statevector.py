@@ -23,13 +23,16 @@ blocks of ``_BLOCK`` amplitude pairs through a two-block scratch, allocated
 only for a list that has one. H runs as a butterfly, t0 = s*a0, t1 = s*a1, a0 = t0 + t1,
 a1 = t0 - t1: 4 passes instead of 7, and exact, because fl(-s*a1) = -fl(s*a1)
 and x + (-y) is x - y in IEEE arithmetic (on complex data only the sign of a
-zero part can differ). ``apply_gates`` runs every tile the same way, a copy
+zero part can differ). A block of a low target is many short rows: at q = 1,
+runs of 2, it is read as transposed views into a scratch laid out (2, 2^q,
+rows), so that numpy's inner loop runs along the rows; the products and their
+order do not change. ``apply_gates`` runs every tile the same way, a copy
 of its input and then the whole list, so every amplitude gets the same
 operations in the same order whatever the tiling, and results keep their
 bits, zero signs included. ``_streamed_distance`` compares two gate lists on
-|+>^n for ``verify_theorem1`` and ``encoding.build_logical_cluster``: up to
-one smallest tile, or with a complex gate, by the dense oracle; past one tile
-by walking both over the same float64 tiles, keeping only the largest
+|+>^n for ``verify_theorem1`` and ``encoding.build_logical_cluster``: when its
+tile is the whole vector, or with a complex gate, by the dense oracle; past one
+tile by walking both over the same float64 tiles, keeping only the largest
 deviation and the norms (no 2^n state is made). There every tile starts
 equal, so a list's prefix, its leading ops that stay inside a tile, runs
 once; its other gates run once per tile class, and each distinct (class
@@ -44,8 +47,10 @@ symmetric bit rows go into the run unchanged, as into ``graph_state``. Past
 one 2^16-amplitude tile ``_plan`` renames the qubits of both lists by one map,
 so that every single-qubit target sits high in a tile, where the kernel is
 fastest. ``amp_distance`` and ``equal_up_to_global_phase`` work block by block
-with no 2^n temporary. The tests keep index-based reference kernels that these
-must match bit for bit.
+with no 2^n temporary; ``equal_exact`` and the phase check's residual stop at
+the first 2^15-amplitude block whose largest deviation is not within ``tol``
+(a NaN included), since the rest cannot change the answer. The tests keep
+index-based reference kernels that these must match bit for bit.
 
 Amplitudes stay float64 while they are all real: ``plus_state`` (a read-only
 zero-stride view of one float64, 2^(-n/2), so 8 bytes) and ``graph_state``
@@ -233,16 +238,21 @@ def plus_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
 def _single_qubit_inplace(amps: np.ndarray, q: int, entries, scratch, butterfly: bool) -> None:
     # every product goes through out= into the scratch, as in the reference, and the
     # butterfly's sums equal it too (module docstring); a block is `rows` rows of k
-    # pairs: many rows for a low target, part of one row for a high one
+    # pairs: many rows for a low target, part of one row for a high one. At q = 1 a
+    # row's runs are 2 long, so a block of whole rows is read transposed, into scratch
+    # laid out (2, 2^q, rows): the same products in the same order, along the rows
     m00, m01, m10, m11 = entries
     inner = 1 << q
     k = min(inner, _BLOCK)
     view = amps.reshape(-1, 2, inner // k, k)
     rows = scratch.shape[1] // k
-    t0, t1 = scratch.reshape(2, rows, k)
+    across = q == 1 and k == inner
+    t0, t1 = scratch.reshape(2, k, rows) if across else scratch.reshape(2, rows, k)
     for r in range(0, view.shape[0], rows):
         for j in range(view.shape[2]):
             a0, a1 = view[r : r + rows, 0, j], view[r : r + rows, 1, j]
+            if across:
+                a0, a1 = a0.T, a1.T
             if butterfly:
                 np.multiply(m00, a0, out=t0)
                 np.multiply(m00, a1, out=t1)
@@ -484,8 +494,12 @@ def _check_same_size(a: StateVector, b: StateVector) -> None:
         raise SizeMismatchError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
 
 
-def _max_deviation(a: np.ndarray, b: np.ndarray, lam=None) -> float:
-    """max |a - lam b| (lam None: max |a - b|), block by block, reusing the first block's buffers."""
+def _max_deviation(a: np.ndarray, b: np.ndarray, lam=None, limit=None) -> float:
+    """max |a - lam b| (lam None: max |a - b|), block by block, reusing the first block's buffers.
+
+    With a ``limit``, it returns after the first block whose maximum so far is not ``<= limit`` (a NaN
+    included): then only whether the whole maximum is ``<= limit`` is known, and it is not.
+    """
     step = min(a.size, 2 * _BLOCK)
     diff = mags = None
     worst = 0.0
@@ -496,6 +510,8 @@ def _max_deviation(a: np.ndarray, b: np.ndarray, lam=None) -> float:
         diff = np.subtract(a[i : i + step], rhs, out=diff)
         mags = np.abs(diff, out=mags)
         worst = mags.max(initial=worst)  # a NaN stays NaN, as in one max over all
+        if limit is not None and not worst <= limit:
+            break
     return float(worst)
 
 
@@ -515,9 +531,10 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
     (4 * ``_BLOCK``; measured a little faster than the smallest tile) both
     ``_plan`` calls take one qubit map that moves every single-qubit target to
     the top bits of that tile, where the kernel runs fastest. Both lists are
-    planned, and so checked, first; a state of at most 2 * ``_BLOCK`` amplitudes
-    (one smallest tile) or a list with a complex gate then goes to the dense
-    oracle, which runs those plans, so the walk sees float64 tiles only. The
+    planned, and so checked, first; a comparison whose tile is the whole state
+    (always at most 2 * ``_BLOCK`` amplitudes) or a list with a complex gate then
+    goes to the dense oracle, which runs those plans, so the walk sees float64
+    tiles only, two or more of them, and holds no output tile of a whole state. The
     tiles go in order of both lists' keys (``_classes``). The two lists' tail
     bases are multiplied once, and a tile pair (a, Fa), (b, Fb), each factor
     given as (sigma, w), gives |a Fa - b Fb| as |a - b F|, F = sigma_a sigma_b
@@ -538,9 +555,9 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
         cut = max(bits - len(top), 0)
         label = dict(zip(rest[:cut] + top + rest[cut:], range(n)))  # the other qubits keep their order
     plans = [_plan(plus, side, label) for side in sides]  # both lists checked, nothing allocated
-    if plus.amps.size <= 2 * _BLOCK or complex in [plan[1] for plan in plans]:
-        return amp_distance(*(_apply(plus, *plan) for plan in plans))
     size = max(plan[2] for plan in plans)
+    if size == plus.amps.size or complex in [plan[1] for plan in plans]:
+        return amp_distance(*(_apply(plus, *plan) for plan in plans))
     classes = [_classes(plus.amps, ops, dtype, size) for ops, dtype, _ in plans]
     order = sorted(classes[0][0], key=lambda start: [keys[start] for keys, *_ in classes])
     walks = [walk(order) for _, walk, _ in classes]
@@ -566,8 +583,9 @@ def _streamed_distance(n: int, a_items, b_items) -> float:
 
 
 def equal_exact(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
-    """Component-wise equality; global phase matters here."""
-    return amp_distance(a, b) <= tol
+    """Component-wise equality; global phase matters here. Stops at the first block over ``tol``."""
+    _check_same_size(a, b)
+    return _max_deviation(a.amps, b.amps, limit=tol) <= tol
 
 
 def equal_up_to_global_phase(
@@ -577,7 +595,8 @@ def equal_up_to_global_phase(
 
     The phase is read off the first largest-magnitude component of b;
     near-orthogonal states make that ill-conditioned, but then the residual
-    fails anyway. Both passes go block by block, with no 2^n temporary.
+    fails anyway. Both passes go block by block, with no 2^n temporary, and
+    the residual stops at the first block over ``tol``.
     """
     _check_same_size(a, b)
     step = min(b.amps.size, 2 * _BLOCK)
@@ -593,7 +612,7 @@ def equal_up_to_global_phase(
     if mag == 0.0:
         return False, 1 + 0j
     lam /= mag
-    ok = _max_deviation(a.amps, b.amps, lam) <= tol
+    ok = _max_deviation(a.amps, b.amps, lam, tol) <= tol
     return ok, complex(lam)
 
 

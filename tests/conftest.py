@@ -1,18 +1,27 @@
-"""Shared test helpers: product states, edge parities and reference kernels."""
+"""Shared test helpers: product states, edge parities, reference kernels and a small kernel block."""
 
 from __future__ import annotations
 
 from functools import reduce
 
 import numpy as np
+import pytest
 
 from gselc import graph as gr
+from gselc import statevector as sv
 from gselc.statevector import _MATRICES, GateKind
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
 ZERO = np.array([1.0, 0.0])
 ONE = np.array([0.0, 1.0])
+
+
+@pytest.fixture(params=[1, 2, 4])
+def small_block(request, monkeypatch):
+    """A kernel block of 1, 2 or 4 amplitude pairs, so small states span many blocks."""
+    monkeypatch.setattr(sv, "_BLOCK", request.param)
+    return request.param
 
 
 def edge_parity(g: gr.Graph) -> np.ndarray:

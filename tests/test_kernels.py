@@ -326,13 +326,6 @@ def test_amp_distance_matches_numpy(n):
     check_amp_distance(n)
 
 
-@pytest.fixture(params=[1, 2, 4])
-def small_block(request, monkeypatch):
-    """A kernel block of 1, 2 or 4 amplitude pairs, so small states span many blocks."""
-    monkeypatch.setattr(sv, "_BLOCK", request.param)
-    return request.param
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_multi_block_kernels_match_reference(small_block, n):
     check_random_circuits(n)
@@ -357,6 +350,48 @@ def test_h_and_sqrt_iz_on_every_target_at_17_qubits():
 def bits(amps: np.ndarray) -> np.ndarray:
     """The raw float64 words of a state: equal arrays have equal values and equal zero signs."""
     return amps.view(np.float64).view(np.uint64)
+
+
+def signed_zero_states(rng: np.random.Generator, n: int) -> list[sv.StateVector]:
+    """A float64 and a complex128 state in which every fifth amplitude is +0 and every seventh -0
+    (and, complex, each part of every third is a zero of either sign): the kernels must keep zero signs."""
+    real = rng.normal(size=1 << n)
+    cplx = real + 1j * rng.normal(size=1 << n)
+    real[::5], real[::7] = 0.0, -0.0
+    cplx[::5], cplx[::7] = 0.0, complex(-0.0, -0.0)
+    cplx.real[1::3], cplx.imag[2::3] = -0.0, 0.0
+    return [sv.StateVector(n, amps / np.linalg.norm(amps), _owned=True) for amps in (real, cplx)]
+
+
+def check_low_targets(n: int) -> None:
+    # q = 1 runs its products along the rows of the block, q = 2 along runs of 4; both
+    # must give the bits of the index-pair reference, zero signs included: on a float64
+    # state those of its real parts, on a complex one its every part (sqrt(iZ)), and for
+    # H on complex data its values, since the butterfly may flip a zero part's sign
+    rng = np.random.default_rng(9700 + n)
+    for state in signed_zero_states(rng, n):
+        for q in (1, 2):
+            for gate in (sv.Gate.h(q), sv.Gate.sqrt_iz(q)):
+                got = sv.apply_gates(state, [gate]).amps
+                want = reference_run(state.amps.astype(complex), n, [gate])
+                if got.dtype == np.float64:
+                    assert np.array_equal(bits(got), bits(want.real)), gate.label()
+                elif state.amps.dtype == np.complex128 and gate.kind is sv.GateKind.H:
+                    assert np.array_equal(got, want), gate.label()
+                else:
+                    assert np.array_equal(bits(got), bits(want)), gate.label()
+
+
+@pytest.mark.parametrize("n", [3, 17])
+def test_low_target_kernels_keep_the_reference_bits(n):
+    # 17 qubits: four tiles of 2^15, each one kernel block of 2^14 pairs
+    check_low_targets(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_low_target_kernels_on_small_blocks(small_block, n):
+    # a block of 1 pair is smaller than one row of a q = 1 or 2 target; 2 and 4 hold whole rows
+    check_low_targets(n)
 
 
 def assert_tiled_matches_reference(monkeypatch, state: sv.StateVector, gates, tile: int) -> None:
@@ -509,24 +544,43 @@ def with_graph(rng: np.random.Generator, n: int, gates: list) -> tuple[list, lis
     return gates[:k] + [g] + gates[k:], gates[:k] + [sv.Gate.cz(a, b) for a, b in g.edges()] + gates[k:]
 
 
+def comparison_tile(monkeypatch, n: int, a: list, b: list) -> int:
+    """The tile ``_streamed_distance(n, a, b)`` runs on: the larger of its two plans' tiles."""
+    sizes = []
+    plan = sv._plan
+
+    def recorded(*args):
+        ops, dtype, size = plan(*args)
+        sizes.append(size)
+        return ops, dtype, size
+
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_plan", recorded)
+        sv._streamed_distance(n, a, b)
+    return max(sizes)
+
+
 def check_streamed_distance(monkeypatch, n: int, seed: int) -> None:
     # random real lists draw their targets from every qubit; past one tile both lists
     # are planned under one qubit map, and the walk keeps the maximum of the same
     # amplitudes, so the two distances are equal, not close. A graph item is a CZ
     # run: the map permutes the run's rows as it renames the gates' targets. The
-    # lists are real, so past one tile of 2 * _BLOCK amplitudes the class walk runs
-    rng = np.random.default_rng(seed)
+    # lists are real, so the class walk runs when the comparison's tile is less than
+    # the state. A second pair draws its single-qubit targets below qubit n-1, which
+    # leaves a qubit (mapped: the top one) free: past 2 * _BLOCK amplitudes it walks
+    rng, low = np.random.default_rng(seed), np.random.default_rng(seed + 50)
     plus = sv.plus_state(n)
-    walked = (1 << n) > 2 * sv._BLOCK
     for _ in range(3):
-        a, a_gates = with_graph(rng, n, real_circuit(rng, n, 10))
-        b, b_gates = with_graph(rng, n, real_circuit(rng, n, 10))
-        a_state, b_state = sv.apply_gates(plus, a_gates), sv.apply_gates(plus, b_gates)
-        got, *keys = walk_classes(monkeypatch, n, a, b)
-        assert len(keys) == 2 * walked
-        assert got == sv.amp_distance(a_state, b_state)
-        assert sv._streamed_distance(n, a, a) == 0.0  # only if both sides are mapped alike
-        assert sv._streamed_distance(n, a, a_gates) == 0.0
+        pairs = [[with_graph(rng, n, real_circuit(rng, n, 10)) for _ in "ab"],
+                 [with_graph(low, n, real_circuit(low, n - 1, 10)) for _ in "ab"]]
+        for (a, a_gates), (b, b_gates) in pairs:
+            a_state, b_state = sv.apply_gates(plus, a_gates), sv.apply_gates(plus, b_gates)
+            got, *keys = walk_classes(monkeypatch, n, a, b)
+            assert len(keys) == 2 * (comparison_tile(monkeypatch, n, a, b) < 1 << n)
+            assert got == sv.amp_distance(a_state, b_state)
+            assert sv._streamed_distance(n, a, a) == 0.0  # only if both sides are mapped alike
+            assert sv._streamed_distance(n, a, a_gates) == 0.0
+        assert len(keys) == 2 * ((1 << n) > 2 * sv._BLOCK)
 
 
 @pytest.mark.parametrize("n", [17, 18])
@@ -645,12 +699,13 @@ def test_class_walk_gives_the_bits_of_the_dense_oracle(monkeypatch, n):
 
 
 def test_one_tile_and_complex_comparisons_take_the_dense_oracle(monkeypatch):
-    # a state of at most 2 * _BLOCK amplitudes, or a list with a complex gate on either
-    # side, is compared as amp_distance of both apply_gates results: no class keys, the
-    # same bits. 16 qubits of real gates are past the smallest tile: the class walk runs
+    # a comparison whose tile is the whole state (at most 2 * _BLOCK amplitudes, or a
+    # single-qubit target on the top qubit of a 16-qubit state), or with a complex gate on
+    # either side, is amp_distance of both apply_gates results: no class keys, the same
+    # bits. 16 qubits of real gates below qubit 15 walk two 2^15 tiles: the class walk runs
     h, cz, t = sv.Gate.h, sv.Gate.cz, 16
     rng = np.random.default_rng(9600)
-    cases = [(n, real_circuit(rng, n, 6), [random_graph(rng, n), h(n - 1)]) for n in (1, 5, 12, 15)]
+    cases = [(n, real_circuit(rng, n, 6), [random_graph(rng, n), h(n - 1)]) for n in (1, 5, 12, 15, 16)]
     cases += [
         (17, [cz(0, t), sv.Gate.sqrt_iz(0), cz(0, t - 1), h(0)], [sv.Gate.sqrt_minus_ix(1), cz(1, t), h(1)]),
         # one side complex128, the other float64: both go to the oracle
@@ -658,9 +713,9 @@ def test_one_tile_and_complex_comparisons_take_the_dense_oracle(monkeypatch):
     ]
     wants = [sv.amp_distance(sv.apply_gates(sv.plus_state(n), a), sv.apply_gates(sv.plus_state(n), b))
              for n, a, b in cases]
-    a, b = real_circuit(rng, 16, 6), [random_graph(rng, 16), h(15)]
+    a, b = real_circuit(rng, 15, 6), [random_graph(rng, 16), h(14)]
     got, *keys = walk_classes(monkeypatch, 16, a, b)
-    assert len(keys) == 2 and got > 0
+    assert len(keys) == 2 and len(keys[0]) == 2 and got > 0
     assert got == sv.amp_distance(sv.apply_gates(sv.plus_state(16), a), sv.apply_gates(sv.plus_state(16), b))
 
     def no_classes(*args):

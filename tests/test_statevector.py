@@ -523,6 +523,79 @@ def test_global_phase_takes_the_first_largest_amplitude(monkeypatch, block):
         assert got == reference_phase(a, b, 1e-9) == (False, 1 + 0j), (first, second)
 
 
+def unchecked_state(amps: np.ndarray) -> sv.StateVector:
+    """A state holding ``amps`` as given, past the constructor's norm and NaN checks."""
+    state = object.__new__(sv.StateVector)
+    object.__setattr__(state, "n_qubits", amps.size.bit_length() - 1)
+    object.__setattr__(state, "amps", amps)
+    return state
+
+
+def early_exit_cases(n: int) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(name, a, b): b a random real or complex state, and a that state over tol = 1e-9 in one
+    amplitude of the first or of the last 2 * _BLOCK-amplitude block, NaN in a middle block, or b."""
+    rng = np.random.default_rng(7600 + n)
+    real = rng.normal(size=1 << n)
+    real /= np.linalg.norm(real)
+    step = 2 * sv._BLOCK
+    assert (1 << n) // step >= 4
+    middle = (1 << n) // step // 2 * step + 1
+    cases = []
+    for b in (real, real * np.exp(0.3j)):
+        for name, at, shift in (("first", 1, 1e-8), ("last", -1, 1e-8), ("nan", middle, np.nan), ("equal", 0, 0.0)):
+            a = b.copy()
+            a[at] += shift
+            cases.append((name, a, b))
+    return cases
+
+
+def check_early_exit(n: int) -> None:
+    # both comparisons stop at the first block over tol, and answer what the whole maximum
+    # would: amp_distance(...) <= tol, and the phase of the whole-vector form
+    tol = 1e-9
+    for name, a, b in early_exit_cases(n):
+        a, b = unchecked_state(a), unchecked_state(b)
+        full = sv.amp_distance(a, b) <= tol
+        assert full == (name == "equal"), name
+        assert sv.equal_exact(a, b, tol) == sv.equal_exact(b, a, tol) == full, name
+        got = sv.equal_up_to_global_phase(a, b, tol)
+        assert got[0] == full, name
+        assert got == reference_phase(a, b, tol), name
+
+
+def test_equality_stops_early_with_the_answer_of_the_whole_maximum():
+    check_early_exit(17)  # four blocks of 2^15
+
+
+def test_equality_stops_early_on_small_blocks(small_block):
+    check_early_exit(5)  # 8 to 16 blocks
+
+
+def test_equality_over_tol_in_the_first_block_reads_one_block(monkeypatch):
+    # 2^17 amplitudes, 4 blocks: a deviation in the first block ends both residuals there
+    name, a, b = early_exit_cases(17)[0]
+    a, b = unchecked_state(a), unchecked_state(b)
+    blocks = []
+
+    class CountedAbs:  # numpy for the module, with each magnitude pass counted
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+        def abs(self, x, *args, **kwargs):
+            blocks.append(x.size)
+            return np.abs(x, *args, **kwargs)
+
+    monkeypatch.setattr(sv, "np", CountedAbs())
+    assert name == "first" and not sv.equal_exact(a, b)
+    assert blocks == [1 << 15]
+    blocks.clear()
+    assert not sv.equal_up_to_global_phase(a, b)[0]
+    assert blocks == [1 << 15] * 5  # four to find the phase, one for the residual
+    blocks.clear()
+    assert sv.amp_distance(a, b) > 1e-9
+    assert blocks == [1 << 15] * 4  # the distance still reads every block
+
+
 def test_global_phase_makes_no_full_size_temporary():
     # a few blocks of buffers; the whole-vector form made four 2^n temporaries
     n = 20

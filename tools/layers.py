@@ -1,23 +1,30 @@
 """Per-layer timings of gselc, written to BENCH_<label>.json.
 
     python3 tools/layers.py --label NAME [--repeat 7] [--src src] [--out .]
+    python3 tools/layers.py --label A --src TREE_A --label B --src TREE_B [...]
 
 Each layer is run once to warm up, then ``--repeat`` times under
 ``time.perf_counter``; the record keeps the best and the median. In-process
 layers also get one more run under ``tracemalloc`` for their traced peak
 (Python and numpy allocations). The bit-row graph ops, the bottom layer, make
 ``GRAPH_OP_CALLS`` calls per timed run. The CLI layers run as subprocesses, each
-timed from start to exit, with the peak RSS of the child as
-``os.wait4`` reports it; ``gselc encode --n-logical 4`` is also timed in
+timed from start to exit, with the peak RSS of the child as the child reads it
+from ``/proc/self/status`` (Linux); ``gselc encode --n-logical 4`` is also timed in
 process through ``cli.main``, stdout captured, for the parser and the build
 per call. ``--src`` picks the tree under test, so one copy of this script can
-time another checkout. Standard library and numpy only.
+time another checkout. Given twice, with two labels, it times two trees in one
+run (A/B mode): both packages are imported side by side, and each repeat of a
+layer runs both trees, first A then B, then B then A, so that a drift of the
+host's speed falls on both; each tree gets its own BENCH_<label>.json. Standard
+library and numpy only.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -32,6 +39,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # a bit-row graph op takes microseconds: each of its timed runs makes this many calls
 GRAPH_OP_CALLS = 1000
+# a gselc CLI run that writes its peak resident set, the VmHWM line, to stderr as it exits
+CLI_CHILD = """import atexit, sys
+def peak():
+    with open("/proc/self/status") as status:
+        print(next(line for line in status if line.startswith("VmHWM:")), end="", file=sys.stderr)
+atexit.register(peak)
+from gselc.cli import run
+run()
+"""
 # the shortcut build's CLI runs, with the argv of their goldens
 CLI_RUNS = {
     "cli: gselc encode --n-logical 4": ["encode", "--n-logical", "4"],
@@ -39,14 +55,24 @@ CLI_RUNS = {
 }
 
 
-def in_process_layers():
-    """(name, parameters, zero-argument call) for each in-process layer, bottom up."""
+def load_tree(src: Path, name: str) -> str:
+    """Import the ``gselc`` package under ``src`` as the top-level package ``name``, so that two
+    trees load side by side (the package imports its modules relatively); returns ``name``."""
+    init = src / "gselc" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no gselc package under {src}")
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return name
+
+
+def in_process_layers(package: str):
+    """(name, parameters, zero-argument call) for each in-process layer of the loaded ``package``, bottom up."""
     import numpy as np
 
-    from gselc import cli
-    from gselc import encoding as enc
-    from gselc import graph as gr
-    from gselc import statevector as sv
+    cli, enc, gr, sv = (importlib.import_module(f"{package}.{m}") for m in ("cli", "encoding", "graph", "statevector"))
 
     dense = gr.random_graph(np.random.default_rng(0), 20)
     a, b = dense.edges()[0]
@@ -55,6 +81,8 @@ def in_process_layers():
     path = sv.graph_state(gr.path(20))
     rng = np.random.default_rng(4200)
     g1, g2 = gr.random_graph(rng, 10), gr.random_graph(rng, 10)
+    union = gr.disjoint_union(g1, g2)
+    toggled = gr.toggle_edge(gr.edge_local_complement(gr.toggle_edge(union, 1, 14), 1, 14), 0, 19)
     rng = np.random.default_rng(4300)
     s1, s2 = gr.random_graph(rng, 6), gr.random_graph(rng, 6)
     m1, m2 = gr.random_graph(rng, 8), gr.random_graph(rng, 8)
@@ -77,6 +105,8 @@ def in_process_layers():
          lambda: sv.apply_gates(path, [cz(3, 17)])),
         ("kernel: apply_gates [CZ(3, 17), H(0), H(1)]", {"n": 20, "state": "graph_state(path(20))"},
          lambda: sv.apply_gates(path, [cz(3, 17), h(0), h(1)])),
+        ("kernel: apply_gates [H(1)]", {"n": 20, "state": "graph_state(path(20))", "dtype": "float64"},
+         lambda: sv.apply_gates(path, [h(1)])),
         ("build: build_logical_cluster(2)", {"n": 10}, lambda: enc.build_logical_cluster(2)),
         ("build: build_logical_cluster(4)", {"n": 20}, lambda: enc.build_logical_cluster(4)),
         ("cli in process: main(['encode', '--n-logical', '4'])", {"n": 20, "stdout": "captured"},
@@ -84,13 +114,25 @@ def in_process_layers():
         ("verify: verify_theorem1, 12 qubits (dense oracle)",
          {"n": 12, "graphs": "random_graph(default_rng(4300), 6) twice", "cores": [2, 3]},
          lambda: sv.verify_theorem1(s1, 2, s2, 3)),
-        ("verify: verify_theorem1, 16 qubits, core at qubit 15 (one 2^16 tile, class walk)",
+        ("verify: verify_theorem1, 16 qubits, core at qubit 15 (one 2^16 tile)",
          {"n": 16, "graphs": "random_graph(default_rng(4300), 8) twice, after the 6-vertex pair", "cores": [4, 15]},
          lambda: sv.verify_theorem1(m1, 4, m2, 7)),
         ("verify: verify_theorem1, 20 qubits", {"n": 20, "graphs": "random_graph(default_rng(4200), 10) twice",
                                                 "cores": [3, 9]},
          lambda: sv.verify_theorem1(g1, 3, g2, 9)),
+        ("negative control: graph_state, apply_gates [CZ(1, 14), H(1), H(14)], toggled graph_state, equal_exact",
+         {"n": 20, "graphs": "random_graph(default_rng(4200), 10) twice", "cores": [1, 14],
+          "toggled": "edge (0, 19) of the ELC graph"},
+         lambda: negative_control(sv, union, toggled)),
     ]
+
+
+def negative_control(sv, union, toggled) -> None:
+    """Theorem 1's dense negative control, as the benchmark's ``theorem1-wide`` runs it: the joined
+    pair's graph state, one CZ and H on each core, against the ELC graph with one edge toggled."""
+    lhs = sv.apply_gates(sv.graph_state(union), [sv.Gate.cz(1, 14), sv.Gate.h(1), sv.Gate.h(14)])
+    if sv.equal_exact(lhs, sv.graph_state(toggled)):
+        raise SystemExit("the negative control found a toggled edge equal")
 
 
 def repeated(call):
@@ -111,14 +153,27 @@ def in_process_cli(cli, argv: list[str]) -> None:
             raise SystemExit(f"gselc {' '.join(argv)} exited non-zero")
 
 
-def time_calls(call, repeat: int) -> list[float]:
-    call()
-    times = []
-    for _ in range(repeat):
+def alternated(calls, repeat: int) -> list[list]:
+    """Each of ``calls`` made once to warm up, then ``repeat`` times in turn, the order reversed on
+    every other repeat; the results, by call."""
+    for call in calls:
+        call()
+    results = [[] for _ in calls]
+    for r in range(repeat):
+        for i in range(len(calls)) if r % 2 == 0 else reversed(range(len(calls))):
+            results[i].append(calls[i]())
+    return results
+
+
+def timed(call):
+    """``call`` as a call that returns its wall time."""
+
+    def run() -> float:
         start = time.perf_counter()
         call()
-        times.append(time.perf_counter() - start)
-    return times
+        return time.perf_counter() - start
+
+    return run
 
 
 def traced_peak_mb(call) -> float:
@@ -131,17 +186,20 @@ def traced_peak_mb(call) -> float:
 
 
 def run_cli(argv: list[str], src: Path) -> tuple[float, float]:
-    """Wall time and peak RSS (MB) of one ``gselc`` run in a fresh interpreter."""
+    """Wall time and peak RSS (MB) of one ``gselc`` run in a fresh interpreter.
+
+    The peak is the child's own high-water mark, which it reads from ``/proc/self/status`` (Linux) as
+    it exits. ``os.wait4``'s ``ru_maxrss`` would not do: a spawned child inherits the resident set of
+    this process as its high-water mark at exec, so it would read this process's size.
+    """
     env = {**os.environ, "PYTHONPATH": str(src)}
     start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-c", "from gselc.cli import run; run()", *argv],
-                             env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
+    child = subprocess.run([sys.executable, "-c", CLI_CHILD, *argv], env=env, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.PIPE, text=True)
     elapsed = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)
     if child.returncode != 0:
         raise SystemExit(f"gselc {' '.join(argv)} exited {child.returncode}")
-    return elapsed, usage.ru_maxrss / 1024  # KB on Linux
+    return elapsed, int(child.stderr.split()[-2]) / 1024  # "VmHWM: <kB> kB"
 
 
 def record(name: str, params: dict, times: list[float], peak_key: str, peak: float) -> dict:
@@ -151,37 +209,42 @@ def record(name: str, params: dict, times: list[float], peak_key: str, peak: flo
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="file name part: BENCH_<label>.json")
+    parser.add_argument("--label", action="append", required=True,
+                        help="file name part: BENCH_<label>.json; twice, with --src twice, for A/B mode")
     parser.add_argument("--repeat", type=int, default=7, help="timed runs per layer (default 7)")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the tree under test")
-    parser.add_argument("--out", type=Path, default=ROOT, help="directory for the JSON file")
+    parser.add_argument("--src", type=Path, action="append", help="the tree under test (default src); twice for A/B mode")
+    parser.add_argument("--out", type=Path, default=ROOT, help="directory for the JSON files")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
+    srcs = [src.resolve() for src in args.src or [ROOT / "src"]]
+    if len(srcs) > 2 or len(args.label) != len(srcs) or len(set(args.label)) != len(srcs):
+        parser.error("give one --label and at most one --src, or two distinct labels and two --src")
+    packages = [load_tree(src, f"gselc_tree{i}") for i, src in enumerate(srcs)]
     import numpy as np
 
-    records = []
-    for name, params, call in in_process_layers():
-        times = time_calls(call, args.repeat)
-        records.append(record(name, params, times, "traced_peak_mb", traced_peak_mb(call)))
+    records = [[] for _ in srcs]
+    for layers in zip(*map(in_process_layers, packages)):
+        times = alternated([timed(call) for _, _, call in layers], args.repeat)
+        for rec, (name, params, call), t in zip(records, layers, times):
+            rec.append(record(name, params, t, "traced_peak_mb", traced_peak_mb(call)))
     for name, cli_argv in CLI_RUNS.items():
-        runs = [run_cli(cli_argv, src) for _ in range(args.repeat + 1)][1:]  # the first warms the file cache
-        records.append(record(name, {"argv": cli_argv}, [t for t, _ in runs], "peak_rss_mb", max(p for _, p in runs)))
-    doc = {
-        "label": args.label,
-        "repeat": args.repeat,
-        "host": {"python": platform.python_version(), "numpy": np.__version__,
-                 "machine": platform.machine(), "cpus": os.cpu_count()},
-        "layers": records,
-    }
-    path = args.out / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    for r in records:
-        peak = r.get("traced_peak_mb", r.get("peak_rss_mb"))
-        print(f"{r['median_s'] * 1e3:9.3f} ms median {r['best_s'] * 1e3:9.3f} ms best {peak:8.3f} MB  {r['layer']}")
-    print(f"wrote {path}")
+        # the warm-up run also warms the file cache
+        runs = alternated([lambda src=src: run_cli(cli_argv, src) for src in srcs], args.repeat)
+        for rec, r in zip(records, runs):
+            rec.append(record(name, {"argv": cli_argv}, [t for t, _ in r], "peak_rss_mb", max(p for _, p in r)))
+    host = {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine(), "cpus": os.cpu_count()}
+    for label, rec in zip(args.label, records):
+        other = [x for x in args.label if x != label]
+        doc = {"label": label, "repeat": args.repeat, "alternated_with": other[0] if other else None,
+               "host": host, "layers": rec}
+        path = args.out / f"BENCH_{label}.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        for r in rec:
+            peak = r.get("traced_peak_mb", r.get("peak_rss_mb"))
+            print(f"{r['median_s'] * 1e3:9.3f} ms median {r['best_s'] * 1e3:9.3f} ms best {peak:8.3f} MB  {r['layer']}")
+        print(f"wrote {path}")
     return 0
 
 
