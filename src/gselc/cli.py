@@ -48,6 +48,15 @@ def _max_qubits(args: argparse.Namespace) -> int:
     return cap
 
 
+def _check_out(out_path: str | None) -> None:
+    """Fail before any work if --out names a directory, or a file that cannot be written there; this
+    creates and truncates nothing."""
+    parent = os.path.dirname(out_path or "") or "."
+    if out_path and (os.path.isdir(out_path) or not os.path.isdir(parent)
+                     or not os.access(out_path if os.path.exists(out_path) else parent, os.W_OK)):
+        raise GselcError(f"--out {out_path} is a directory or cannot be written")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -343,6 +352,7 @@ def main(argv=None) -> int:
     _PARSER = _PARSER or build_parser()
     args = _PARSER.parse_args(argv)
     try:
+        _check_out(args.out)  # every subcommand takes --out
         return args.func(args)
     except (GselcError, OSError, ValueError, MemoryError) as exc:
         # library and resource failures are one-line usage errors, never tracebacks

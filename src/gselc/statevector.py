@@ -3,62 +3,28 @@
 Ground truth for every claim in the package: builds graph states, applies
 single-qubit Cliffords and CZ exactly, and checks the Hadamard-pair /
 edge-local-complementation identity, the local-complementation unitary with
-its residual Z gates, and stabilizer fixed points.
+its residual Z gates, and stabilizer fixed points. Gate lists run one
+cache-sized tile at a time, ``_plan``, ``_bind``, then ``_run_tile`` per tile;
+each function's docstring describes its own step. What the code cannot show:
 
-Gates run one cache-sized tile at a time: ``apply_gates`` copies each tile of
-at least 2 * ``_BLOCK`` amplitudes in from its input and runs the whole gate
-list on it. A tile is widened until every single-qubit target lies inside it
-(qubit n-1: the whole vector). Each run of consecutive CZs, one pair or many,
-is XORed into bit rows and applied as one multiply by the tile's slice of the
-int8 sign vector (-1)^(x^T U x) (``graph_state`` is 2^(-n/2) times it, and
-the only whole sign vector made). A sign vector is a quadratic form (Dehaene
-and De Moor, PRA 68, 042318): with x = s + l, s above a tile of 2^b and l
-inside it, v[s + l] = sigma(s) v[l] (-1)^(w(s).l), w linear in s. So a run
-keeps one base, its first 2^b signs, and each tile's slice is made from it
-(``_form``, ``_factor``). ``_sign_vector`` doubles a vector once per qubit,
-copying the signs so far for a qubit with no lower partner and else
-multiplying in one row of the 128 x 128 Walsh table per 7 bits, at a cost that
-does not grow with the edge count. A single-qubit gate walks its tile in
-blocks of ``_BLOCK`` amplitude pairs through a two-block scratch, allocated
-only for a list that has one. H runs as a butterfly, t0 = s*a0, t1 = s*a1, a0 = t0 + t1,
-a1 = t0 - t1: 4 passes instead of 7, and exact, because fl(-s*a1) = -fl(s*a1)
-and x + (-y) is x - y in IEEE arithmetic (on complex data only the sign of a
-zero part can differ). A block of a low target is many short rows: at q = 1,
-runs of 2, it is read as transposed views into a scratch laid out (2, 2^q,
-rows), so that numpy's inner loop runs along the rows; the products and their
-order do not change. ``apply_gates`` runs every tile the same way, a copy
-of its input and then the whole list, so every amplitude gets the same
-operations in the same order whatever the tiling, and results keep their
-bits, zero signs included. ``_streamed_distance`` compares two gate lists on
-|+>^n for ``verify_theorem1`` and ``encoding.build_logical_cluster``: when its
-tile is the whole vector, or with a complex gate, by the dense oracle; past one
-tile by walking both over the same float64 tiles, keeping only the largest
-deviation and the norms (no 2^n state is made). There every tile starts
-equal, so a list's prefix, its leading ops that stay inside a tile, runs
-once; its other gates run once per tile class, and each distinct (class
-pair, factor) is compared once, while every tile adds its norms. Tiles whose
-characters agree on the gates' targets differ by a +-1 diagonal E constant on
-every amplitude pair a gate couples. IEEE rounding is sign-symmetric,
-fl(-a*b) = -fl(a*b) and fl(-a +- -b) = -fl(a +- b), so the gates take E x to E
-times their result on x, but for the sign of an exact zero: hence no classes in
-``apply_gates``, whose results keep their zero signs, while the comparison
-reads only |a - b| and |a|^2. A ``Graph`` in a list is one CZ run; its
-symmetric bit rows go into the run unchanged, as into ``graph_state``. Past
-one 2^16-amplitude tile ``_plan`` renames the qubits of both lists by one map,
-so that every single-qubit target sits high in a tile, where the kernel is
-fastest. ``amp_distance`` and ``equal_up_to_global_phase`` work block by block
-with no 2^n temporary; ``equal_exact`` and the phase check's residual stop at
-the first 2^15-amplitude block whose largest deviation is not within ``tol``
-(a NaN included), since the rest cannot change the answer. The tests keep
-index-based reference kernels that these must match bit for bit.
+The H butterfly is exact. t0 = s*a0, t1 = s*a1, a0 = t0 + t1, a1 = t0 - t1
+gives the bits of the matrix product s*a0 + s*a1, s*a0 + (-s)*a1, because
+fl(-s*a1) = -fl(s*a1) and x + (-y) is x - y in IEEE arithmetic; on complex
+data only the sign of a zero part can differ.
 
-Amplitudes stay float64 while they are all real: ``plus_state`` (a read-only
-zero-stride view of one float64, 2^(-n/2), so 8 bytes) and ``graph_state``
-return float64, and ``apply_gates`` keeps float64 when every gate of the list
-is real (H, X, Z, CZ), else it promotes each tile to complex128 as it copies it
-in. This is exact: for a real matrix entry c and a real amplitude x the
-complex product (c+0j)(x+0j) has real part c*x - 0*0, the float64 product, and
-an imaginary part of +-0. The public ``StateVector(n, amps)`` stores complex128.
+Tile classes, and why ``apply_gates`` has none. Tiles whose characters agree
+on the gates' targets differ by a +-1 diagonal E constant on every amplitude
+pair a gate couples. IEEE rounding is sign-symmetric, fl(-a*b) = -fl(a*b) and
+fl(-a +- -b) = -fl(a +- b), so the gates take E x to E times their result on
+x, but for the sign of an exact zero. The comparison (``_classes``) reads only
+|a - b| and |a|^2; ``apply_gates`` runs the whole list on every tile, so every
+amplitude gets the same operations in the same order whatever the tiling, and
+its results keep their bits, zero signs included.
+
+Real amplitudes stay float64; a list with a complex gate promotes each tile to
+complex128 as it copies it in. This is exact: for a real matrix entry c and a
+real amplitude x the complex product (c+0j)(x+0j) has real part c*x - 0*0, the
+float64 product, and an imaginary part of +-0.
 
 Qubit convention: bit i of a basis-state index is qubit i (little endian), and
 qubit i is graph vertex i. Every cross-module index map goes through this one
@@ -236,11 +202,15 @@ def plus_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
 
 
 def _single_qubit_inplace(amps: np.ndarray, q: int, entries, scratch, butterfly: bool) -> None:
-    # every product goes through out= into the scratch, as in the reference, and the
-    # butterfly's sums equal it too (module docstring); a block is `rows` rows of k
-    # pairs: many rows for a low target, part of one row for a high one. At q = 1 a
-    # row's runs are 2 long, so a block of whole rows is read transposed, into scratch
-    # laid out (2, 2^q, rows): the same products in the same order, along the rows
+    """The 2x2 matrix ``entries``, (m00, m01, m10, m11), on qubit ``q`` of ``amps``, in place.
+
+    The tile is walked in blocks of ``_BLOCK`` amplitude pairs, every product going through ``out=``
+    into the two-block ``scratch``, as in the reference; H runs as the butterfly (module docstring),
+    4 passes instead of 7. A block is ``rows`` rows of k pairs: many rows for a low target, part of
+    one row for a high one. At q = 1 a row's runs are 2 long, so a block of whole rows is read
+    transposed, into scratch laid out (2, 2^q, rows): the same products in the same order, along
+    the rows.
+    """
     m00, m01, m10, m11 = entries
     inner = 1 << q
     k = min(inner, _BLOCK)
@@ -310,57 +280,51 @@ def graph_state(g: Graph, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
 
 
 def _plan(sv: StateVector, items, label=None) -> tuple[list[tuple], type, int]:
-    """A gate list as tile operations, their dtype and the smallest tile that runs them.
+    """A gate list as tile operations, their dtype and the smallest tile that runs them: 2 * ``_BLOCK``
+    amplitudes at least, widened until every single-qubit target lies inside it (qubit n-1: the
+    whole vector).
 
     An item is a ``Gate`` or a ``Graph``; a graph is a run of CZs, one per edge.
-    Every target and graph size is checked first. The dtype is float64
-    for a float64 input and real gates (H, X, Z, CZ), else complex128. Every
-    single-qubit target lies inside the tile: the kernel pairs amplitudes 2^q
-    apart, Z and sqrt(iZ) included. A run of CZs and graphs is XORed into
+    One pass checks each target and graph size as it plans that item, and
+    allocates no array. The dtype is float64 for a float64 input and real gates
+    (H, X, Z, CZ), else complex128. A single-qubit gate becomes ("gate", q,
+    kind), and every such q lies inside the tile: the kernel pairs amplitudes
+    2^q apart, Z and sqrt(iZ) included. A run of CZs and graphs is XORed into
     symmetric bit rows, a graph's rows straight in and a CZ as both of its bits:
-    pairs that cancel leave nothing, and any other run becomes one sign op, its
-    rows, which ``_bind`` binds to the tile size; no sign vector is built here.
-    ``label``, if given, renames each qubit q ``label[q]`` once the checks have
-    passed: a single-qubit target, and each run's rows, permuted once per run.
+    pairs that cancel leave nothing, and any other run becomes ("sign", rows).
+    ``label``, if given, renames each qubit q ``label[q]``: a checked target,
+    and each run's rows, permuted once the run is read.
     """
-    items = list(items)
     n = sv.n_qubits
     real = sv.amps.dtype == np.float64
-    for item in items:
-        if isinstance(item, Graph):
-            if item.n != n:
-                raise SizeMismatchError(f"graph has {item.n} vertices, state has {n} qubits")
-            continue
-        for t in item.targets:
-            if not 0 <= t < n:
-                raise VertexRangeError(f"target {t} out of range for {n} qubits")
-        if item.kind is not GateKind.CZ and item.kind not in _REAL:
-            real = False
-    entries = _REAL if real else _ENTRIES
     ops = []
     top = 0
     for is_cz, run in groupby(items, key=_in_cz_run):
-        if not is_cz:
-            for gate in run:
-                q = gate.targets[0] if label is None else label[gate.targets[0]]
-                top = q if q > top else top
-                ops.append(("gate", q, entries[gate.kind], gate.kind is GateKind.H))
-            continue
         rows = [0] * n
         for item in run:
             if isinstance(item, Graph):
-                for i, row in enumerate(item.rows):
-                    rows[i] ^= row
-            else:
+                if item.n != n:
+                    raise SizeMismatchError(f"graph has {item.n} vertices, state has {n} qubits")
+                rows = list(map(operator.xor, rows, item.rows))
+                continue
+            for t in item.targets:
+                if not 0 <= t < n:
+                    raise VertexRangeError(f"target {t} out of range for {n} qubits")
+            if is_cz:
                 a, b = item.targets
                 rows[a] ^= 1 << b
                 rows[b] ^= 1 << a
-        if label is not None:
-            moved = [0] * n
-            for i, row in enumerate(rows):
-                moved[label[i]] = sum(1 << label[j] for j in mask_vertices(row))
-            rows = moved
+            else:
+                real = real and item.kind in _REAL
+                q = item.targets[0] if label is None else label[item.targets[0]]
+                top = q if q > top else top
+                ops.append(("gate", q, item.kind))
         if any(rows):
+            if label is not None:
+                moved = [0] * n
+                for i, row in enumerate(rows):
+                    moved[label[i]] = sum(1 << label[j] for j in mask_vertices(row))
+                rows = moved
             ops.append(("sign", rows))
     return ops, np.float64 if real else complex, min(1 << n, max(2 * _BLOCK, 2 << top))
 
@@ -401,29 +365,27 @@ def _factor(form: tuple[int, int], size: int, base: np.ndarray | None = None):
 
 
 def _run_tile(src: np.ndarray, ops: list[tuple], tile: np.ndarray, start: int, scratch) -> None:
-    """Copy ``src`` into ``tile``, the tile at ``start``, and run the bound ops on it, in order.
-
-    An op is a single-qubit gate or a CZ run, whose slice at the tile is made from its base; the run
-    keeps its last slice, which the next tiles often share (a lone CZ: runs of 2^k tiles).
-    """
+    """Copy ``src`` into ``tile``, the tile at ``start``, and run the bound ops on it, in order: a
+    single-qubit gate in place, a CZ run as one multiply by its slice at the tile, made from its base.
+    Nothing is kept from one tile to the next, so the tiles may run in any order."""
     tile[...] = src
     for op in ops:
         if op[0] == "gate":
             _single_qubit_inplace(tile, op[1], op[2], scratch, op[3])
-            continue
-        form = _form(op[1], start, tile.size - 1) if start else (1, 0)
-        if form != op[3][0]:
-            op[3][:] = form, _factor(form, tile.size, op[2])
-        tile *= op[3][1]
+        else:
+            tile *= _factor(_form(op[1], start, tile.size - 1), tile.size, op[2])
 
 
 def _bind(ops: list[tuple], dtype, size: int):
-    """A plan bound to tiles of ``size`` = 2^b: each sign op gains its base, its first tile of signs,
-    ``_sign_vector(b, rows[:b])``, and a slot for its last slice and that slice's (sigma, w). Also the
-    kernel scratch, for a list with a single-qubit gate (else None)."""
+    """A plan bound to tiles of ``size`` = 2^b, the only step that allocates: a gate op gets its kernel
+    entries for ``dtype`` and whether it runs as the butterfly (H), a sign op its base, its first tile
+    of signs, ``_sign_vector(b, rows[:b])``. Also the kernel scratch, for a list with a single-qubit
+    gate (else None)."""
     bits = size.bit_length() - 1
+    entries = _REAL if dtype is np.float64 else _ENTRIES
     scratch = np.empty((2, min(size // 2, _BLOCK)), dtype) if any(op[0] == "gate" for op in ops) else None
-    return [op if op[0] == "gate" else (*op, _sign_vector(bits, op[1][:bits]), [None, None]) for op in ops], scratch
+    return [("gate", op[1], entries[op[2]], op[2] is GateKind.H) if op[0] == "gate"
+            else (*op, _sign_vector(bits, op[1][:bits])) for op in ops], scratch
 
 
 def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int):
@@ -473,7 +435,8 @@ def _classes(src: np.ndarray, ops: list[tuple], dtype, size: int):
 def apply_gates(sv: StateVector, gates) -> StateVector:
     """Exact unitary action of a gate list: every tile of the result, |+>^n's too, runs the whole list.
 
-    Every target is checked before any work; the input state is never written.
+    Each tile is copied in from the input and runs the whole list while it stays in cache, so no gate
+    walks the whole vector. Every target is checked before any work; the input state is never written.
     The result is float64 when the input is float64 and every gate is real (H,
     X, Z, CZ), otherwise complex128.
     """

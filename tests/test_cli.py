@@ -70,6 +70,27 @@ def test_graph_out_file(capsys, tmp_path):
     assert json.loads(target.read_text()) == {"n": 3, "edges": [[0, 1], [0, 2]]}
 
 
+def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, tmp_path):
+    # a directory, a file in a missing folder or under a file: exit 2 with one line naming
+    # the path, before any suite, build or graph work, and no file created or truncated
+    src = write_graph(tmp_path, gr.path(3))
+
+    def no_work(*args):
+        raise AssertionError("work ran before --out was checked")
+
+    monkeypatch.setitem(cli.SUITES, "vertex-lc", (no_work, None))
+    monkeypatch.setattr(cli.encoding, "build_logical_cluster", no_work)
+    monkeypatch.setattr(cli, "_parse_graph_spec", no_work)
+    monkeypatch.setattr(cli, "_load_graph", no_work)
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+    for out in (tmp_path, tmp_path / "missing" / "x.json", Path(src) / "x.json"):
+        for argv in (["verify", "vertex-lc"], ["encode"], ["graph", "path:3"], ["apply", src, "lc:0"]):
+            code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+            assert (code, stdout) == (2, "")
+            assert err == f"error: --out {out} is a directory or cannot be written\n"
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
 def test_apply_elc_on_path(capsys, tmp_path):
     src = write_graph(tmp_path, gr.path(4))
     code, out, _ = run_cli(capsys, "apply", src, "elc:1,2")

@@ -455,6 +455,47 @@ def test_tile_walk_promotes_each_tile_once(monkeypatch, n):
         assert sv.apply_gates(state, gates).amps.dtype == np.complex128
 
 
+def frozen(bound: list[tuple]) -> list[tuple]:
+    """Bound ops as plain values: each list as a tuple, each array as its dtype and bytes."""
+    return [tuple(tuple(x) if isinstance(x, list) else (x.dtype, x.tobytes()) if isinstance(x, np.ndarray)
+                  else x for x in op) for op in bound]
+
+
+def check_tile_order(n: int, seed: int) -> None:
+    # a tile is a function of its start alone: over the tiles in reverse and in a seeded
+    # shuffle, the bound ops give the bits of the in-order _apply, and no run writes them
+    rng = np.random.default_rng(seed)
+    h, cz, t = sv.Gate.h, sv.Gate.cz, n - 1
+    first = [cz(0, t), h(0), cz(1, t), cz(0, t - 1), h(1), cz(0, t)]
+    lists = [first, [random_graph(rng, n), h(2), cz(1, t), sv.Gate.x(0), cz(1, t - 1), h(1)],
+             first + [sv.Gate.sqrt_iz(1), cz(2, t)]]
+    for state in (real_state(rng, n), random_state(rng, n), sv.plus_state(n)):
+        for gates in lists:
+            ops, dtype, size = sv._plan(state, gates)
+            top = size.bit_length() - 1
+            assert size < 1 << n and any(op[0] == "sign" and any(op[1][top:]) for op in ops)
+            want = sv._apply(state, ops, dtype, size).amps
+            bound, scratch = sv._bind(ops, dtype, size)
+            before = frozen(bound)
+            starts = list(range(0, 1 << n, size))
+            for order in (starts[::-1], [int(s) for s in rng.permutation(starts)]):
+                got = np.empty(1 << n, dtype)
+                for s in order:
+                    sv._run_tile(state.amps[s : s + size], bound, got[s : s + size], s, scratch)
+                assert np.array_equal(bits(got), bits(want)), (gates, order)
+            assert frozen(bound) == before
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_tiles_run_in_any_order_with_the_same_bits(n):
+    check_tile_order(n, 9250 + n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_tiles_run_in_any_order_on_small_blocks(small_block, n):
+    check_tile_order(n, 9260 + n)
+
+
 def test_plus_state_is_a_read_only_zero_stride_view():
     n = 18
     plus = sv.plus_state(n)

@@ -48,10 +48,14 @@ atexit.register(peak)
 from gselc.cli import run
 run()
 """
-# the shortcut build's CLI runs, with the argv of their goldens
+# CLI runs, each with the argv of its golden: the shortcut build's two, then the other suites
 CLI_RUNS = {
     "cli: gselc encode --n-logical 4": ["encode", "--n-logical", "4"],
     "cli: gselc verify chain:4": ["verify", "chain:4"],
+    "cli: gselc verify theorem1 --seed 0": ["verify", "theorem1", "--seed", "0"],
+    "cli: gselc verify stabilizers --seed 0": ["verify", "stabilizers", "--seed", "0"],
+    "cli: gselc verify cs2": ["verify", "cs2"],
+    "cli: gselc verify vertex-lc": ["verify", "vertex-lc"],
 }
 
 
