@@ -677,6 +677,68 @@ def verify_stabilizers(
     )
 
 
+def _checked_rows(states: np.ndarray) -> np.ndarray:
+    """``states``, a batch of states as rows, once every row passes ``StateVector``'s norm check (the
+    row furthest from norm 1, a NaN first, is the one checked)."""
+    squared = np.einsum("ij,ij->i", states, states)
+    if squared.size:
+        _check_norm(squared[np.abs(squared - 1.0).argmax()])
+    return states
+
+
+def _graph_states(n: int, graphs: list[Graph]) -> np.ndarray:
+    """``graph_state`` of each of ``graphs``, all of ``n`` vertices, as the rows of one float64 array.
+
+    The signs double as in ``_sign_vector``: the new half of row r at vertex i is
+    its signs so far times the Walsh row of graph r's row i below bit i. Up to
+    ``_LOW + 1`` vertices those bits fit one ``_WALSH`` row, so sizes past that
+    are refused. The products of +-1 are exact, and each amplitude is
+    sign * 2^(-n/2), as in ``graph_state``, so every row has its bits.
+    """
+    _check_cap(n, _LOW + 1)
+    rows = np.array([g.rows for g in graphs], dtype=np.int64).reshape(len(graphs), n)
+    sign = np.empty((len(graphs), 1 << n), dtype=np.int8)
+    sign[:, 0] = 1
+    for i in range(n):
+        walsh = _WALSH[rows[:, i] & ((1 << i) - 1), : 1 << i]
+        np.multiply(sign[:, : 1 << i], walsh, out=sign[:, 1 << i : 2 << i])
+    return _checked_rows(sign * 2.0 ** (-n / 2))
+
+
+def _hadamard_rows(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``apply_gates`` of ``[H(targets[r, 0]), H(targets[r, 1]), ...]`` on each row r of the float64
+    ``states``, in place, then the norm check: each H pairs amplitudes 2^q apart, q the row's own
+    target, and runs ``_single_qubit_inplace``'s butterfly on them, so every row has the bits of the
+    one-state result."""
+    m00 = _REAL[GateKind.H][0]
+    pair = np.arange(states.shape[1] // 2)
+    r = np.arange(len(states))[:, None]
+    for q in targets.T[:, :, None]:
+        lo = ((pair >> q) << (q + 1)) | (pair & ((1 << q) - 1))
+        hi = lo | (1 << q)
+        t0 = m00 * states[r, lo]
+        t1 = m00 * states[r, hi]
+        states[r, lo] = t0 + t1
+        states[r, hi] = t0 - t1
+    return _checked_rows(states)
+
+
+def _rows_equal_exact(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """``equal_exact`` of each row pair of two float64 batches: max |a - b| <= tol."""
+    return np.abs(a - b).max(axis=1, initial=0.0) <= tol
+
+
+def _rows_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``equal_up_to_global_phase`` of each row pair of two float64 batches: whether each fits tol, and
+    each phase, +-1 (1 where it cannot be read), read off the row's first largest |b| component."""
+    r = np.arange(len(b))
+    k = np.abs(b).argmax(axis=1)
+    lam = a[r, k] * b[r, k]
+    mag = np.abs(lam)
+    lam = np.divide(lam, mag, out=np.ones_like(lam), where=mag != 0.0)
+    return (mag != 0.0) & (np.abs(a - lam[:, None] * b).max(axis=1, initial=0.0) <= tol), lam
+
+
 def scan_theorem1_shared_neighbors(
     trials: int = 50,
     seed: int = 0,
@@ -688,45 +750,52 @@ def scan_theorem1_shared_neighbors(
     The main identity is only claimed for disjoint neighborhoods. Here random
     graphs with a shared-neighbor edge are checked and the equality status is
     recorded, never asserted; ``passed`` means the scan found as many such
-    cases as were asked for, and at least one.
+    cases as were asked for, and at least one. With shared neighbours S the
+    pair gives Z_S |ELC graph> (Van den Nest, Dehaene & De Moor, PRA 69, 022316
+    (2004)), which the scan should find unequal, even up to phase.
+
+    All cases are drawn first, then each graph size's cases are checked in one
+    batch of rows, each step with the bits of its one-state function:
+    ``_graph_states`` for ``graph_state``, ``_hadamard_rows`` for ``apply_gates``
+    of ``[H(a), H(b)]``, ``_rows_equal_exact`` for ``equal_exact`` and
+    ``_rows_equal_up_to_phase`` for ``equal_up_to_global_phase``. Every state
+    is norm-checked as a ``StateVector`` would be.
     """
     _check_cap(_SCAN_MAX_N, max_qubits)  # before any draw, whatever the seed
     rng = np.random.default_rng(seed)
-    checked = 0
-    equal_exact_count = 0
-    equal_up_to_phase_count = 0
-    first_counterexample = None
+    cases = []
     attempts = 0
-    while checked < trials and attempts < trials * 200:
+    while len(cases) < trials and attempts < trials * 200:
         attempts += 1
         n = int(rng.integers(3, _SCAN_MAX_N + 1))
         g = gr.random_graph(rng, n)
         candidates = [(a, b) for a, b in g.edges() if g.rows[a] & g.rows[b]]
-        if not candidates:
-            continue
-        a, b = candidates[int(rng.integers(0, len(candidates)))]
-        lhs = apply_gates(graph_state(g, max_qubits), [Gate.h(a), Gate.h(b)])
-        rhs = graph_state(gr.edge_local_complement(g, a, b), max_qubits)
-        checked += 1
-        if equal_exact(lhs, rhs, tol):
-            equal_exact_count += 1
-        ok_phase, _ = equal_up_to_global_phase(lhs, rhs, tol)
-        if ok_phase:
-            equal_up_to_phase_count += 1
-        elif first_counterexample is None:
-            first_counterexample = {
-                "n": n,
-                "edges": [list(e) for e in g.edges()],
-                "edge": [a, b],
-            }
+        if candidates:
+            cases.append((g, *candidates[int(rng.integers(0, len(candidates)))]))
+    by_size = {}
+    for i, (g, _, _) in enumerate(cases):
+        by_size.setdefault(g.n, []).append(i)
+    exact = np.zeros(len(cases), dtype=bool)
+    phase = np.zeros(len(cases), dtype=bool)
+    for n, batch in by_size.items():
+        graphs = [cases[i][0] for i in batch]
+        lhs = _hadamard_rows(_graph_states(n, graphs), np.array([cases[i][1:] for i in batch]))
+        rhs = _graph_states(n, [gr.edge_local_complement(*cases[i]) for i in batch])
+        exact[batch] = _rows_equal_exact(lhs, rhs, tol)
+        phase[batch] = _rows_equal_up_to_phase(lhs, rhs, tol)[0]
+    first = next((cases[i] for i in np.flatnonzero(~phase)), None)
     return Report(
-        passed=0 < checked == trials,
+        passed=0 < len(cases) == trials,
         details={
             "seed": seed,
-            "cases_checked": checked,
-            "equal_exact": equal_exact_count,
-            "equal_up_to_phase": equal_up_to_phase_count,
-            "first_counterexample": first_counterexample,
+            "cases_checked": len(cases),
+            "equal_exact": int(exact.sum()),
+            "equal_up_to_phase": int(phase.sum()),
+            "first_counterexample": None if first is None else {
+                "n": first[0].n,
+                "edges": [list(e) for e in first[0].edges()],
+                "edge": list(first[1:]),
+            },
             "tol": tol,
         },
     )

@@ -11,6 +11,7 @@ import pytest
 
 from gselc import cli
 from gselc import graph as gr
+from gselc.report import Report
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,27 @@ def test_verify_theorem1_deterministic(capsys):
     assert doc["details"]["trials"] == 10
     assert doc["details"]["seed"] == 0
     assert doc["details"]["shared_neighborhood_scan"]["cases_checked"] == 50
+
+
+@pytest.mark.parametrize(
+    "suite, name, calls",
+    [("theorem1", "verify_theorem1", 200), ("vertex-lc", "verify_vertex_lc", 5405),
+     ("stabilizers", "verify_stabilizers", 50)],
+)
+def test_suites_call_their_verify_function_once_per_case(capsys, monkeypatch, suite, name, calls):
+    # perfbench's sweep-small workload times these suites by patching these module attributes, and
+    # fails a pass whose count differs; a suite moved onto a batched path would break it
+    seen = []
+
+    def stub(*args):
+        seen.append(args)
+        return Report(passed=True, details={"max_amp_diff": 0.0})
+
+    monkeypatch.setattr(cli.sv, name, stub)
+    code, out, _ = run_cli(capsys, "verify", suite)
+    assert code == 0 and len(seen) == calls
+    doc = json.loads(out)["details"]
+    assert doc.get("trials", doc.get("cases_checked")) == calls
 
 
 def test_verify_cs2_report(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -368,6 +369,139 @@ def test_shared_neighborhood_scan_records_outcome():
     assert not sv.equal_exact(lhs, rhs, 1e-9)
     ok, _ = sv.equal_up_to_global_phase(lhs, rhs, 1e-9)
     assert not ok
+
+
+def _reference_scan(trials=50, seed=0, tol=1e-9):
+    """The shared-neighbour scan one case at a time through the public functions: its details, and
+    each case as (graph, a, b, lhs, rhs, equal_exact, (up to phase, phase))."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    first = None
+    attempts = 0
+    while len(cases) < trials and attempts < trials * 200:
+        attempts += 1
+        n = int(rng.integers(3, sv._SCAN_MAX_N + 1))
+        g = gr.random_graph(rng, n)
+        candidates = [(a, b) for a, b in g.edges() if g.rows[a] & g.rows[b]]
+        if not candidates:
+            continue
+        a, b = candidates[int(rng.integers(0, len(candidates)))]
+        lhs = sv.apply_gates(sv.graph_state(g), [sv.Gate.h(a), sv.Gate.h(b)])
+        rhs = sv.graph_state(gr.edge_local_complement(g, a, b))
+        phase = sv.equal_up_to_global_phase(lhs, rhs, tol)
+        cases.append((g, a, b, lhs, rhs, sv.equal_exact(lhs, rhs, tol), phase))
+        if not phase[0] and first is None:
+            first = {"n": n, "edges": [list(e) for e in g.edges()], "edge": [a, b]}
+    details = {
+        "seed": seed,
+        "cases_checked": len(cases),
+        "equal_exact": sum(case[5] for case in cases),
+        "equal_up_to_phase": sum(case[6][0] for case in cases),
+        "first_counterexample": first,
+        "tol": tol,
+    }
+    return details, cases
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 20))
+def test_batched_scan_matches_the_one_state_reference(seed):
+    for s in range(seed, seed + 20):
+        details, _ = _reference_scan(seed=s)
+        rep = sv.scan_theorem1_shared_neighbors(seed=s)
+        assert rep.details == details and rep.passed
+        assert json.dumps(rep.details) == json.dumps(details)  # plain ints and lists, as the reference
+
+
+def test_batched_rows_have_the_one_state_bits_on_scan_cases():
+    for seed in range(20):
+        _, cases = _reference_scan(seed=seed)
+        for n in {case[0].n for case in cases}:
+            group = [case for case in cases if case[0].n == n]
+            states = sv._graph_states(n, [case[0] for case in group])
+            for row, case in zip(states, group):
+                assert same_bits(row, sv.graph_state(case[0]).amps)
+            lhs = sv._hadamard_rows(states, np.array([case[1:3] for case in group]))
+            rhs = sv._graph_states(n, [gr.edge_local_complement(*case[:3]) for case in group])
+            exact = sv._rows_equal_exact(lhs, rhs, 1e-9)
+            ok, lam = sv._rows_equal_up_to_phase(lhs, rhs, 1e-9)
+            for r, case in enumerate(group):
+                assert same_bits(lhs[r], case[3].amps) and same_bits(rhs[r], case[4].amps)
+                assert exact[r] == case[5] and (ok[r], complex(lam[r])) == case[6]
+
+
+def test_batched_rows_have_the_one_state_bits_on_every_small_graph():
+    for n in range(6):
+        graphs = list(all_graphs(n))
+        states = sv._graph_states(n, graphs)
+        for row, g in zip(states, graphs):
+            assert same_bits(row, sv.graph_state(g).amps)
+        # every ordered pair of cores, a == b included, up to 4 vertices; one pair per graph at 5
+        if n < 5:
+            batches = [[(a, b)] * len(graphs) for a in range(n) for b in range(n)]
+        else:
+            batches = [[(i % n, i // n % n) for i in range(len(graphs))]]
+        for cores in batches:
+            lhs = sv._hadamard_rows(states.copy(), np.array(cores))
+            for row, g, (a, b) in zip(lhs, graphs, cores):
+                want = sv.apply_gates(sv.graph_state(g), [sv.Gate.h(a), sv.Gate.h(b)])
+                assert same_bits(row, want.amps)
+
+
+def test_batched_builder_refuses_graphs_past_one_walsh_row():
+    # 8 vertices is the scan's largest size and needs the whole 2^7-column table
+    eights = [random_graph(np.random.default_rng(s), 8) for s in range(3)]
+    for row, g in zip(sv._graph_states(8, eights), eights):
+        assert same_bits(row, sv.graph_state(g).amps)
+    with pytest.raises(TooManyQubitsError, match="^9 qubits exceeds the cap of 8$"):
+        sv._graph_states(9, [gr.path(9)])
+
+
+def test_batch_norm_check_reads_every_row():
+    states = sv._graph_states(4, [gr.path(4), gr.cycle(4), gr.star(3)])
+    for bad in range(3):
+        for value in (1.0 + 1e-6, np.nan):
+            rows = states.copy()
+            rows[bad] *= value
+            with pytest.raises(ValueError, match="not normalized"):
+                sv._checked_rows(rows)
+            with pytest.raises(ValueError, match="not normalized"):
+                sv._hadamard_rows(rows, np.array([[0, 1]] * 3))
+    assert sv._checked_rows(states) is states
+
+
+def test_scan_norm_checks_every_state_it_builds(monkeypatch):
+    # each size's batch: its graph states, the rows after the Hadamards, the ELC graph states
+    checked = []
+    monkeypatch.setattr(sv, "_checked_rows", lambda rows: checked.append(rows.copy()) or rows)
+    details, cases = _reference_scan(trials=12, seed=3)
+    sv.scan_theorem1_shared_neighbors(trials=12, seed=3)
+    sizes = sorted({case[0].n for case in cases})
+    assert len(checked) == 3 * len(sizes)
+    for n in sizes:
+        group = [case for case in cases if case[0].n == n]
+        want = [sv.graph_state(case[0]).amps for case in group], [case[3].amps for case in group], [
+            case[4].amps for case in group]
+        got = [rows for rows in checked if rows.shape == (len(group), 1 << n)]
+        assert [[same_bits(r, w) for r, w in zip(rows, side)] for rows, side in zip(got, want)] == [
+            [True] * len(group)] * 3
+
+
+def test_batched_phase_is_read_off_the_first_largest_component():
+    c = 1 / np.sqrt(2)
+    # b's two components tie; the first gives +1 and fits tol 1.4, the second gives -1 and does not;
+    # a zero at b's largest component cannot give a phase
+    a = np.array([[0.8, -0.6], [c, -c], [0.0, 1.0]])
+    b = np.array([[c, c], [c, c], [1.0, 0.0]])
+    for tol in (1e-9, 1.4):
+        ok, lam = sv._rows_equal_up_to_phase(a, b, tol)
+        want = [sv.equal_up_to_global_phase(state_of(x), state_of(y), tol) for x, y in zip(a, b)]
+        assert [(bool(o), complex(p)) for o, p in zip(ok, lam)] == want
+    assert list(sv._rows_equal_up_to_phase(a, b, 1.4)[0]) == [True, False, False]
+    assert list(sv._rows_equal_exact(a, b, 1.4)) == [True, False, True]
 
 
 def test_state_vector_validation():

@@ -15,8 +15,10 @@ per call. ``--src`` picks the tree under test, so one copy of this script can
 time another checkout. Given twice, with two labels, it times two trees in one
 run (A/B mode): both packages are imported side by side, and each repeat of a
 layer runs both trees, first A then B, then B then A, so that a drift of the
-host's speed falls on both; each tree gets its own BENCH_<label>.json. Standard
-library and numpy only.
+host's speed falls on both; each tree gets its own BENCH_<label>.json. A layer
+whose call a tree does not have (the batched graph-state builder, in a tree
+from before it) is left out of that tree's file. Standard library and numpy
+only.
 """
 
 from __future__ import annotations
@@ -90,6 +92,9 @@ def in_process_layers(package: str):
     rng = np.random.default_rng(4300)
     s1, s2 = gr.random_graph(rng, 6), gr.random_graph(rng, 6)
     m1, m2 = gr.random_graph(rng, 8), gr.random_graph(rng, 8)
+    rng = np.random.default_rng(4400)
+    eights = [gr.random_graph(rng, 8) for _ in range(50)]
+    batch = getattr(sv, "_graph_states", None)
     cz, h = sv.Gate.cz, sv.Gate.h
     seeded = {"graph": "random_graph(default_rng(0), 20)", "edges": dense.edge_count, "calls": GRAPH_OP_CALLS}
     return [
@@ -105,6 +110,10 @@ def in_process_layers(package: str):
                                                  "edges": dense.edge_count},
          lambda: sv._sign_vector(20, dense.rows)),
         ("state: graph_state(path(20))", {"n": 20}, lambda: sv.graph_state(gr.path(20))),
+        ("state batch: _graph_states(8, 50 graphs)", {"n": 8, "graphs": "random_graph(default_rng(4400), 8) 50 times"},
+         None if batch is None else lambda: batch(8, eights)),
+        ("state: graph_state of the same 50 graphs, one at a time", {"n": 8, "graphs": "as the batch"},
+         lambda: [sv.graph_state(g) for g in eights]),
         ("kernel: apply_gates [CZ(3, 17)]", {"n": 20, "state": "graph_state(path(20))"},
          lambda: sv.apply_gates(path, [cz(3, 17)])),
         ("kernel: apply_gates [CZ(3, 17), H(0), H(1)]", {"n": 20, "state": "graph_state(path(20))"},
@@ -128,6 +137,8 @@ def in_process_layers(package: str):
          {"n": 20, "graphs": "random_graph(default_rng(4200), 10) twice", "cores": [1, 14],
           "toggled": "edge (0, 19) of the ELC graph"},
          lambda: negative_control(sv, union, toggled)),
+        ("scan: scan_theorem1_shared_neighbors(trials=50, seed=1)", {"trials": 50, "seed": 1, "n": "3-8"},
+         lambda: sv.scan_theorem1_shared_neighbors(trials=50, seed=1)),
     ]
 
 
@@ -229,8 +240,9 @@ def main(argv=None) -> int:
 
     records = [[] for _ in srcs]
     for layers in zip(*map(in_process_layers, packages)):
-        times = alternated([timed(call) for _, _, call in layers], args.repeat)
-        for rec, (name, params, call), t in zip(records, layers, times):
+        present = [(rec, layer) for rec, layer in zip(records, layers) if layer[2] is not None]
+        times = alternated([timed(call) for _, (_, _, call) in present], args.repeat)
+        for (rec, (name, params, call)), t in zip(present, times):
             rec.append(record(name, params, t, "traced_peak_mb", traced_peak_mb(call)))
     for name, cli_argv in CLI_RUNS.items():
         # the warm-up run also warms the file cache
